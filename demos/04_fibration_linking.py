@@ -38,14 +38,16 @@ for _ in range(50):
 print(f"  smallest gap over 50 random distinct pairs: {dmin:.4f}  (never zero)")
 
 print("\n== any two fibers over CP^1 are linked ==")
-print("Project both circles from S^3 to R^3 stereographically and evaluate")
-print("the Gauss double integral; it lands on an integer.\n")
+print("Project both circles from S^3 to R^3 stereographically: one passes")
+print("through the flat disk the other bounds, and the signed count of those")
+print("crossings is the linking number.  The Gauss double integral agrees.\n")
 for _ in range(3):
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     pa, pb = pg.point_from_vector(v), pg.point_from_vector(w)
     raw = pg.linking_integral(pa, pb, 1024)
-    print(f"  Gauss integral {raw:+.6f}  ->  linking number {round(raw):+d}")
+    count = pg.linking_number(pa, pb, 1024)
+    print(f"  crossing count {count:+d}   Gauss integral {raw:+.6f}")
 
 print("\n== exporting a fiber for plotting ==")
 xyz = pg.fiber_stereo_samples(q, 6)

@@ -17,6 +17,7 @@ from projgeo.errors import (
     SamePoint,
     ShapeMismatch,
     SingularCoefficients,
+    Unresolved,
     ZeroVector,
 )
 from projgeo.grassmann import (

@@ -41,6 +41,10 @@ class SamePoint(ProjGeoError):
     """Two distinct points were required."""
 
 
+class Unresolved(ProjGeoError):
+    """A discretization too coarse to resolve the input it was given."""
+
+
 class DegenerateProjection(ProjGeoError):
     """No usable stereographic pole was found; indicates a bug."""
 

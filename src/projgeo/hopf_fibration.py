@@ -3,8 +3,10 @@
 Over R the unit sphere S^n double-covers RP^n: the fiber over a point is
 an antipodal pair.  Over C the unit sphere of C^{n+1} maps onto CP^n
 with circle fibers {e^{it} h}; distinct fibers never meet, and for n = 1
-any two of them form a linked pair of circles in S^3, which is checked
-here numerically with a discretized Gauss double integral.
+any two of them form a linked pair of circles in S^3.  The linking number
+is counted exactly as the signed crossings of one fiber through the flat
+disk that the other bounds in R^3; a discretized Gauss double integral
+gives an independent cross-check.
 
 The n = 1 base space CP^1 is also exposed as the extended complex plane
 C u {inf} (affine coordinate z = h1/h2) and as the round 2-sphere via
@@ -25,6 +27,7 @@ from projgeo.errors import (
     InvalidRange,
     SamePoint,
     SingularCoefficients,
+    Unresolved,
     ZeroVector,
 )
 from projgeo.numerics import (
@@ -230,6 +233,19 @@ def fiber_stereo_samples(p: ProjPoint, m: int) -> np.ndarray:
     return _stereo_r3(_to_r4(_fiber_array(h, thetas)))
 
 
+def _linked_pair(
+    p: ProjPoint, q: ProjPoint, m: int, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated fiber representatives of a linking computation, moved off the pole."""
+    if p.field != COMPLEX or q.field != COMPLEX or p.n != 1 or q.n != 1:
+        raise FieldMismatch("linking is computed for fibers over CP^1 points")
+    if m < 64:
+        raise InvalidRange("need at least 64 segments per fiber")
+    if points_equal(p, q, tol):
+        raise SamePoint("a fiber is not linked with itself")
+    return _clear_pole(p.h, q.h)
+
+
 def linking_integral(
     p: ProjPoint, q: ProjPoint, m: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
@@ -240,15 +256,7 @@ def linking_integral(
     rule.  The summation order is fixed, so the result is deterministic
     for a given m.
     """
-    if p.field != COMPLEX or q.field != COMPLEX or p.n != 1 or q.n != 1:
-        raise FieldMismatch("linking is computed for fibers over CP^1 points")
-    if m < 64:
-        raise InvalidRange("need at least 64 segments per fiber")
-    if p.n != q.n:
-        raise DimensionMismatch(f"mixed dimensions: {p.n} vs {q.n}")
-    if points_equal(p, q, tol):
-        raise SamePoint("a fiber is not linked with itself")
-    hp, hq = _clear_pole(p.h, q.h)
+    hp, hq = _linked_pair(p, q, m, tol)
 
     edges = 2.0 * np.pi * np.arange(m) / m
     mids = edges + np.pi / m
@@ -272,15 +280,79 @@ def linking_integral(
     return math.fsum(partial) / (4.0 * math.pi)
 
 
+def _stereo_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Centre, unit normal and radius of the R^3 circle a fiber projects to.
+
+    The fiber's points nearest to and farthest from the pole land at the
+    two ends of a diameter: the reflection of R^4 that fixes the pole and
+    maps the fiber to itself fixes exactly those two points.  So centre and
+    radius come from them alone, which stays accurate when the circle is
+    large.  The point a quarter turn after the nearest one fixes the plane;
+    taking the three in order of increasing theta makes the normal follow
+    the fiber's direction of travel by the right-hand rule.
+    """
+    # e^{i t} h is nearest the pole (0, -i) when i e^{i t} h2 is real and positive
+    nearest = -cmath.phase(h[1]) - 0.5 * math.pi
+    thetas = nearest + np.array([0.0, 0.5, 1.0]) * math.pi
+    near, quarter, far = _stereo_r3(_to_r4(_fiber_array(h, thetas)))
+    centre = 0.5 * (near + far)
+    normal = np.cross(near - centre, quarter - centre)
+    return centre, normal / np.linalg.norm(normal), 0.5 * float(np.linalg.norm(near - far))
+
+
+def _fiber_separation(hp: np.ndarray, hq: np.ndarray) -> float:
+    # sqrt(2 - 2 |<hp, hq>|) for unit vectors of C^2, rewritten through
+    # |det|^2 = 1 - |<hp, hq>|^2 so that close fibers lose no digits.
+    det = abs(hp[0] * hq[1] - hp[1] * hq[0])
+    return det * math.sqrt(2.0 / (1.0 + math.sqrt(max(0.0, 1.0 - det * det))))
+
+
 def linking_number(
     p: ProjPoint, q: ProjPoint, m: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> int:
     """Linking number of the fibers over two distinct CP^1 points.
 
-    Nearest integer of :func:`linking_integral`; at m >= 2048 the raw
-    integral sits within 0.05 of the returned integer.
+    Under stereographic projection both fibers are round circles in R^3.
+    The fiber over ``p`` bounds a flat disk, found in closed form; the
+    fiber over ``q`` is sampled as an m-gon, and the result is the signed
+    number of its edges that pass through that disk, with the sign taken
+    from the direction of travel of the ``p`` fiber by the right-hand rule.
+    A vertex lying on the disk's plane is counted once (half-open rule).
+    The cost is O(m) time and memory, and the answer is exact, never a
+    rounded integral.
+
+    The count is guarded: the fibers are sep = sqrt(2 - 2 |<h_p, h_q>|)
+    apart in S^3 and, since inverse stereographic projection stretches
+    lengths by at most 2, at least sep / 2 apart in R^3, while an m-gon
+    strays from its circle of radius r by at most the sagitta
+    r (1 - cos(pi / m)).  With r the larger of the two radii, so that the
+    guard is symmetric in ``p`` and ``q``, :class:`Unresolved` is raised
+    when sep / 2 <= 4 r (1 - cos(pi / m)); a larger ``m`` resolves closer
+    fibers.  :func:`linking_integral` computes the same number as a Gauss
+    integral for cross-checking.
     """
-    return int(round(linking_integral(p, q, m, tol)))
+    hp, hq = _linked_pair(p, q, m, tol)
+    centre, normal, radius = _stereo_circle(hp)
+    sep = _fiber_separation(hp, hq)
+    # 4 r (1 - cos(pi / m)), written as 8 r sin^2(pi / 2m) to keep its digits
+    bound = 8.0 * max(radius, _stereo_circle(hq)[2]) * math.sin(0.5 * math.pi / m) ** 2
+    if sep / 2.0 <= bound:
+        raise Unresolved(
+            f"fibers {sep:.3g} apart are too close for {m} samples: "
+            f"sep / 2 must exceed 4 r (1 - cos(pi / m)) = {bound:.3g}"
+        )
+
+    verts = _stereo_r3(_to_r4(_fiber_array(hq, 2.0 * np.pi * np.arange(m) / m))) - centre
+    height = verts @ normal
+    above = height >= 0.0
+    start = np.flatnonzero(above != np.roll(above, -1))
+    stop = (start + 1) % m
+    t = height[start] / (height[start] - height[stop])
+    hits = verts[start] + t[:, None] * (verts[stop] - verts[start])
+    # hits lie in the plane, so |hit| is the distance from the centre within it;
+    # an edge ending above the plane passes along the normal and counts +1
+    inside = np.einsum("ij,ij->i", hits, hits) < radius * radius
+    return int(np.sum(np.where(above[stop], 1, -1)[inside]))
 
 
 # --- CP^1 as the extended plane and the 2-sphere ------------------------

@@ -1,7 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from projgeo import (
@@ -11,6 +14,7 @@ from projgeo import (
     InvalidRange,
     SamePoint,
     SingularCoefficients,
+    Unresolved,
     complex_fiber_sample,
     cp1_affine,
     cp1_from_affine,
@@ -18,6 +22,7 @@ from projgeo import (
     extended_equal,
     fiber_stereo_samples,
     fibers_min_distance,
+    hopf_fibration,
     hopf_project,
     linking_integral,
     linking_number,
@@ -164,6 +169,92 @@ def test_linking_guards():
         linking_number(p, p, 256)
     with pytest.raises(InvalidRange):
         linking_number(cpoint(1.0, 0.0), cpoint(0.0, 1.0), 32)
+
+
+def fiber_pair(h, sep, phase):
+    """CP^1 points over h and over a point whose fiber is ``sep`` away.
+
+    sep is the fiber separation sqrt(2 - 2 |<h_p, h_q>|) in S^3.
+    """
+    h = np.asarray(h, dtype=complex) / np.linalg.norm(h)
+    perp = np.array([-np.conj(h[1]), np.conj(h[0])])
+    t = 2.0 * math.asin(sep / 2.0)
+    other = math.cos(t) * h + math.sin(t) * cmath.exp(1j * phase) * perp
+    return point_from_vector(h), point_from_vector(other)
+
+
+def linking_or_unresolved(p, q, m):
+    try:
+        return linking_number(p, q, m)
+    except Unresolved:
+        return Unresolved
+
+
+@st.composite
+def cp1_pairs(draw):
+    """Distinct CP^1 pairs, separation log-uniform on [1e-6, sqrt 2].
+
+    Half the pairs put the first fiber within 1e-3 ... 1e-6 of the
+    stereographic pole, where both fibers are rotated before projecting.
+    """
+    sep = 10.0 ** draw(st.floats(-6.0, math.log10(math.sqrt(2.0))))
+    if draw(st.booleans()):
+        # the fiber's distance to the pole is sqrt(2 - 2 |h2|) = 2 sin(tilt / 2)
+        tilt = 2.0 * math.asin(0.5 * 10.0 ** draw(st.floats(-6.0, -3.0)))
+    else:
+        tilt = draw(st.floats(0.0, 0.5 * math.pi))
+    phases = [draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(3)]
+    h = [math.sin(tilt) * cmath.exp(1j * phases[0]), math.cos(tilt) * cmath.exp(1j * phases[1])]
+    p, q = fiber_pair(h, sep, phases[2])
+    assume(not points_equal(p, q))
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(cp1_pairs())
+def test_linking_count_is_minus_one_or_unresolved(pair):
+    p, q = pair
+    got = linking_or_unresolved(p, q, 2048)
+    assert got in (-1, Unresolved)
+    assert linking_or_unresolved(q, p, 2048) == got
+    if got != Unresolved:
+        assert linking_number(p, q, 8192) == -1
+
+
+@pytest.mark.parametrize("sep", [1e-3, 1e-4, 1e-6])
+def test_near_coincident_fibers_never_give_a_wrong_count(sep):
+    # At these separations and m = 2048 the Gauss integral rounds to wrong
+    # integers (-1.84, -17.7 and -1767 on one measured pair); the count
+    # gives -1 or refuses.
+    p, q = fiber_pair([0.6 - 0.3j, 0.2 + 0.7j], sep, 1.3)
+    got = linking_or_unresolved(p, q, 2048)
+    assert got in (-1, Unresolved)
+    if sep >= 1e-4:
+        assert got == -1
+    assert linking_number(p, q, 16384) == -1
+
+
+def test_unresolved_names_separation_samples_and_bound():
+    p, q = fiber_pair([0.6 - 0.3j, 0.2 + 0.7j], 1e-6, 1.3)
+    with pytest.raises(Unresolved, match=r"1e-06 apart .* 2048 samples: .* = [0-9.e-]+$"):
+        linking_number(p, q, 2048)
+
+
+def test_count_matches_rounded_integral():
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        sep = 0.0123 * (math.sqrt(2.0) / 0.0123) ** rng.random()
+        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        p, q = fiber_pair(h, sep, rng.uniform(0.0, 2.0 * math.pi))
+        assert linking_number(p, q, 2048) == round(linking_integral(p, q, 2048))
+
+
+def test_linking_count_does_not_evaluate_the_integral(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linking_number must not run the O(m^2) Gauss integral")
+
+    monkeypatch.setattr(hopf_fibration, "linking_integral", refuse)
+    assert linking_number(cpoint(1.0, 0.0), cpoint(0.0, 1.0), 2048) == -1
 
 
 def test_fiber_stereo_samples_finite_even_through_pole():
