@@ -71,10 +71,12 @@ from projgeo.numerics import (
     REAL,
     Tolerance,
     cond_estimate,
+    in_span,
     invert,
     kernel,
     orthonormalize,
     projector_distance,
+    require_conditioned,
 )
 from projgeo.projective import (
     AffineChart,

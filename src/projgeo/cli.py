@@ -5,15 +5,15 @@ One executable with subcommands; structured data travels as JSON files
 CSV on stdout.  All numeric output is printed with 17 significant
 digits, and every command is deterministic for fixed inputs and seed.
 
-Exit codes: 0 success, 1 property-suite failure, 2 unparsable input or
-bad arguments, 3 dimension/field/kind mismatch, 4 ill-conditioned input.
+Exit codes: 0 success, 1 property-suite failure, 2 unparsable input,
+bad arguments or a linking number too close to resolve, 3
+dimension/field/kind mismatch, 4 ill-conditioned input.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,29 +37,6 @@ from projgeo.numerics import COMPLEX, REAL, DEFAULT_TOLERANCE, Tolerance, as_vec
 from projgeo.projective import ProjMap, ProjPoint
 
 ENV_EPS = "PROJGEO_EPS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved numeric configuration of one invocation."""
-
-    seed: int = 0
-    eps_abs: float = DEFAULT_TOLERANCE.eps_abs
-    cond_max: float = DEFAULT_TOLERANCE.cond_max
-    lam: complex | float = 2.0
-    trials: int = 1
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        Tolerance(self.eps_abs, self.cond_max)
-        ScaleGroup(self.lam)
-
-    @property
-    def tolerance(self) -> Tolerance:
-        return Tolerance(self.eps_abs, self.cond_max)
 
 
 def _parse_scalar(text: str):
@@ -89,10 +66,6 @@ def _load(path: str) -> dict:
 
 def _emit(obj) -> None:
     sys.stdout.write(jsonio.dumps(jsonio.encode(obj)) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -140,7 +113,7 @@ def _cmd_fiber(args) -> int:
             raise FieldMismatch("--stereo needs a complex point of CP^1")
         out.write("t," + ",".join(f"x{i + 1}" for i in range(p.n + 1)) + "\n")
         for t, point in enumerate(hopf_fibration.real_fiber(p)):
-            out.write(",".join([str(t)] + [_fmt(c) for c in point.x]) + "\n")
+            out.write(",".join([str(t)] + [jsonio.format_float(c) for c in point.x]) + "\n")
         return 0
 
     if args.stereo and p.n != 1:
@@ -158,9 +131,9 @@ def _cmd_fiber(args) -> int:
     for t, point in enumerate(samples):
         row = [str(t)]
         for z in point.x:
-            row += [_fmt(z.real), _fmt(z.imag)]
+            row += [jsonio.format_float(z.real), jsonio.format_float(z.imag)]
         if stereo is not None:
-            row += [_fmt(c) for c in stereo[t]]
+            row += [jsonio.format_float(c) for c in stereo[t]]
         out.write(",".join(row) + "\n")
     return 0
 
@@ -279,28 +252,26 @@ def _cmd_link(args) -> int:
     q = jsonio.decode(_load(args.other_file), tol)
     if not (isinstance(p, ProjPoint) and isinstance(q, ProjPoint)):
         raise DimensionMismatch("link expects two proj_point documents")
-    raw = hopf_fibration.linking_integral(p, q, args.samples, tol)
+    count = hopf_fibration.linking_number(p, q, args.samples, tol)
     result = {
         "kind": "linking",
         "samples": args.samples,
-        "integral": raw,
-        "linking_number": int(round(raw)),
+        "integral": hopf_fibration.linking_integral(p, q, args.samples, tol),
+        "linking_number": count,
     }
     sys.stdout.write(jsonio.dumps(result) + "\n")
     return 0
 
 
 def _cmd_check(args) -> int:
-    config = RunConfig(
-        seed=args.seed,
-        eps_abs=_tolerance(args).eps_abs,
-        cond_max=_tolerance(args).cond_max,
-        lam=_parse_scalar(args.lam),
-        trials=args.trials,
-    )
-    results = suites.run_suite(
-        args.suite, config.trials, config.seed, config.tolerance, config.lam
-    )
+    tol = _tolerance(args)
+    lam = _parse_scalar(args.lam)
+    if not 0 <= args.seed < 2 ** 64:
+        raise InvalidRange("seed must fit in 64 unsigned bits")
+    if args.trials < 1:
+        raise InvalidRange("trials must be at least 1")
+    ScaleGroup(lam)
+    results = suites.run_suite(args.suite, args.trials, args.seed, tol, lam)
     failed = 0
     for r in results:
         status = "PASS" if r.passed == r.total else "FAIL"
@@ -398,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h_top.set_defaults(func=_cmd_hopf, action="to-projective")
 
     p_link = sub.add_parser("link", parents=[common],
-                            help="Gauss linking number of two CP^1 fibers")
+                            help="linking number of two CP^1 fibers, by counting crossings")
     p_link.add_argument("point_file")
     p_link.add_argument("other_file")
     p_link.add_argument("--samples", type=int, default=2048)

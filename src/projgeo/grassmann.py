@@ -64,8 +64,8 @@ class GraphChart:
     """Graph-coordinate patch around ``base`` with complement ``complement``.
 
     The two subspaces must be complementary: together their bases span
-    F^n, checked through the smallest singular value of the stacked
-    basis.  Build instances with :func:`graph_chart`.
+    F^n.  Build instances with :func:`graph_chart`, which checks that at
+    the caller's tolerance.
     """
 
     base: Subspace
@@ -80,10 +80,6 @@ class GraphChart:
                 f"complement of a {b.k}-dimensional subspace of F^{b.n} "
                 f"must have dimension {b.n - b.k}, got {m.k}"
             )
-        combined = np.hstack([b.basis, m.basis])
-        smallest = np.linalg.svd(combined, compute_uv=False)[-1]
-        if smallest <= DEFAULT_TOLERANCE.eps_abs:
-            raise ValueError("base and complement are not transverse")
 
 
 def subspace_from_span(
@@ -118,11 +114,17 @@ def graph_chart(
     """Coordinate patch around ``base``.
 
     When no complement is given the Hermitian orthogonal complement is
-    used; it is deterministic and maximally transverse.
+    used; it is deterministic and maximally transverse.  A given
+    complement must be transverse to ``base``: the smallest singular
+    value of the stacked bases must exceed ``tol.eps_abs``.
     """
     if complement is None:
         complement = orthogonal_complement(base, tol)
-    return GraphChart(base, complement)
+    chart = GraphChart(base, complement)
+    combined = np.hstack([base.basis, complement.basis])
+    if np.linalg.svd(combined, compute_uv=False)[-1] <= tol.eps_abs:
+        raise ValueError("base and complement are not transverse")
+    return chart
 
 
 def graph_subspace(
@@ -183,11 +185,7 @@ def apply_gl(g, s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     gm = as_matrix(g, s.field)
     if gm.shape != (s.n, s.n):
         raise DimensionMismatch(f"expected a {s.n}x{s.n} matrix, got {gm.shape}")
-    c = numerics.cond_estimate(gm)
-    if c > tol.cond_max:
-        raise IllConditioned(
-            f"condition estimate {c:.3e} exceeds cap {tol.cond_max:.3e}"
-        )
+    numerics.require_conditioned(gm, tol)
     q = numerics.orthonormalize(gm @ s.basis, tol)
     if q.shape[1] != s.k:
         raise IllConditioned("image dropped rank numerically")

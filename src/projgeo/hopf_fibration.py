@@ -39,7 +39,13 @@ from projgeo.numerics import (
     dtype_for,
     field_of,
 )
-from projgeo.projective import ProjPoint, point_from_vector, points_equal
+from projgeo.projective import (
+    ProjPoint,
+    apply_map,
+    map_from_matrix,
+    point_from_vector,
+    points_equal,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +164,10 @@ def fibers_min_distance(
 
     Strictly positive whenever the base points differ; the exact
     distance between the full circles is sqrt(2 - 2 |<h_p, h_q>|), which
-    the sampled minimum approaches from above as m grows.
+    the sampled minimum approaches from above as m grows.  Sample s of
+    one fiber and sample t of the other are sqrt(2 - 2 Re(w^(s-t) c))
+    apart, with w = e^{2 pi i / m} and c = <h_q, h_p>, so only the m
+    differences k = s - t need checking: O(m) time and memory.
     """
     if p.field != COMPLEX or q.field != COMPLEX:
         raise FieldMismatch("circle fibers exist over the complex field only")
@@ -169,10 +178,7 @@ def fibers_min_distance(
     if points_equal(p, q, tol):
         raise SamePoint("fibers coincide; disjointness distance is undefined")
     thetas = 2.0 * np.pi * np.arange(m) / m
-    xs = _fiber_array(p.h, thetas)
-    ys = _fiber_array(q.h, thetas)
-    gram = xs @ ys.conj().T
-    d2 = np.maximum(2.0 - 2.0 * gram.real, 0.0)
+    d2 = np.maximum(2.0 - 2.0 * (np.exp(1j * thetas) * np.vdot(q.h, p.h)).real, 0.0)
     return float(np.sqrt(d2.min()))
 
 
@@ -454,8 +460,6 @@ def mobius_matches_projective(
     CP^1 and compares with the direct formula; True when every value
     agrees within ``agreement_eps``, with inf matching only inf.
     """
-    from projgeo.projective import apply_map, map_from_matrix
-
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if abs(a * d - b * c) <= tol.eps_abs:
         raise SingularCoefficients("need a d - b c != 0")

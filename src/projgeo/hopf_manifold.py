@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from projgeo.errors import DimensionMismatch, FieldMismatch, IllConditioned, ZeroVector
+from projgeo.errors import DimensionMismatch, FieldMismatch, ZeroVector
 from projgeo.numerics import (
     COMPLEX,
     DEFAULT_TOLERANCE,
@@ -28,8 +28,9 @@ from projgeo.numerics import (
     Tolerance,
     as_matrix,
     as_vector,
-    cond_estimate,
     field_of,
+    in_span,
+    require_conditioned,
 )
 from projgeo.projective import ProjPoint, point_from_vector
 
@@ -48,7 +49,7 @@ class ScaleGroup:
         val = complex(self.lam)
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise ValueError("scale must be finite")
-        if abs(val) < 1.0 + DEFAULT_TOLERANCE.eps_abs:
+        if abs(val) < 1.0 + 1e-9:  # a fixed domain bound, not a comparison at eps
             raise ValueError("scale must have absolute value larger than 1")
         # store a real scale as a plain float so real vectors stay real
         object.__setattr__(self, "lam", float(val.real) if val.imag == 0.0 else val)
@@ -172,11 +173,7 @@ def induced_linear(
     gm = as_matrix(g, point.field)
     if gm.shape != (point.n, point.n):
         raise DimensionMismatch(f"expected a {point.n}x{point.n} matrix, got {gm.shape}")
-    c = cond_estimate(gm)
-    if c > tol.cond_max:
-        raise IllConditioned(
-            f"condition estimate {c:.3e} exceeds cap {tol.cond_max:.3e}"
-        )
+    require_conditioned(gm, tol)
     return quotient_project(gm @ point.rep, point.group, tol)
 
 
@@ -190,6 +187,4 @@ def subspace_trace_membership(point: HopfPoint, s, tol: Tolerance = DEFAULT_TOLE
         raise DimensionMismatch(f"mixed dimensions: {s.n} vs {point.n}")
     if s.field != point.field:
         raise FieldMismatch(f"mixed fields: {s.field} vs {point.field}")
-    b = s.basis
-    residual = point.rep - b @ (b.conj().T @ point.rep)
-    return bool(np.linalg.norm(residual) < tol.eps_abs)
+    return in_span(point.rep, s.basis, tol)

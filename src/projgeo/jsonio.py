@@ -15,8 +15,9 @@ field; the shapes are:
 
 Decoding is forgiving about canonical form: homogeneous coordinates may
 be any nonzero representative and basis columns any spanning set; the
-decoder canonicalizes.  :func:`dumps` prints every float with 17
-significant digits so that doubles survive a round trip through text.
+decoder canonicalizes.  :func:`dumps` prints every float with
+:func:`format_float`, at 17 significant digits, so that doubles survive
+a round trip through text.
 """
 
 import json
@@ -33,6 +34,7 @@ from projgeo.numerics import (
     Tolerance,
     as_matrix,
     as_vector,
+    field_of,
 )
 from projgeo.projective import (
     ProjMap,
@@ -42,6 +44,11 @@ from projgeo.projective import (
     point_from_vector,
     proj_subspace_from_span,
 )
+
+
+def format_float(x) -> str:
+    """A float as text at 17 significant digits, enough to round-trip."""
+    return format(float(x), ".17g")
 
 
 def dumps(value) -> str:
@@ -61,7 +68,7 @@ def _write(value, out: list[str]) -> None:
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
+        out.append(format_float(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
@@ -125,8 +132,6 @@ def encode(obj) -> dict:
         return {"kind": "extended_complex",
                 "z": "inf" if obj.is_infinity else [obj.z.real, obj.z.imag]}
     if isinstance(obj, np.ndarray):
-        from projgeo.numerics import field_of
-
         field = field_of(obj)
         if obj.ndim == 1:
             return {"kind": "vector", "field": field, "v": _vector(obj, field)}

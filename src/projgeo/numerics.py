@@ -96,16 +96,22 @@ def cond_estimate(m) -> float:
     return float(s[0] / s[-1])
 
 
-def invert(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Matrix inverse, guarded by the conditioning cap."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
+def require_conditioned(a: np.ndarray, tol: Tolerance) -> None:
+    """The conditioning guard: raise IllConditioned when the condition
+    estimate of ``a`` exceeds ``tol.cond_max``."""
     c = cond_estimate(a)
     if c > tol.cond_max:
         raise IllConditioned(
             f"condition estimate {c:.3e} exceeds cap {tol.cond_max:.3e}"
         )
+
+
+def invert(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Matrix inverse, guarded by the conditioning cap."""
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise NotSquare(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
+    require_conditioned(a, tol)
     return np.linalg.inv(a)
 
 
@@ -158,3 +164,10 @@ def projector_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     p1 = b1 @ b1.conj().T
     p2 = b2 @ b2.conj().T
     return float(np.linalg.norm(p1 - p2))
+
+
+def in_span(x: np.ndarray, basis: np.ndarray, tol: Tolerance) -> bool:
+    """Whether ``x`` lies in the span of the orthonormal columns of
+    ``basis``: its residual after projection is under ``tol.eps_abs``."""
+    residual = x - basis @ (basis.conj().T @ x)
+    return bool(np.linalg.norm(residual) < tol.eps_abs)

@@ -16,6 +16,7 @@ cover the whole space, and chart j misses exactly the projectivized
 hyperplane {x_j = 0}.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,41 @@ def _pivot_index(values: np.ndarray, eps: float) -> int:
     return int(np.argmax(mods >= mods.max() - eps))
 
 
-def _phase_fixed(values: np.ndarray, j: int) -> np.ndarray:
-    """Rescale by a unit scalar so entry ``j`` becomes real and positive."""
-    a = values[j]
-    if np.iscomplexobj(values):
-        return values * (abs(a) / a)
-    return values if a > 0 else -values
+def _canonical(values: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The unit multiple of a nonzero array, flattened row-major, whose
+    pivot entry is real and positive."""
+    nrm = float(np.linalg.norm(values))
+    if nrm <= tol.eps_abs:
+        raise ZeroVector("cannot projectivize the zero vector")
+    u = (values / nrm).ravel()
+    a = u[_pivot_index(u, tol.eps_abs)]
+    if np.iscomplexobj(u):
+        return u * (abs(a) / a)
+    return u if a > 0 else -u
+
+
+def _frozen_canonical(values, field: str, shape: tuple, expected: str) -> np.ndarray:
+    """Read-only copy of a representative that :func:`_canonical` yields at
+    some eps > 0: unit norm, and some entry (row-major) real and positive
+    and larger in modulus than every entry before it."""
+    arr = np.array(values, dtype=dtype_for(field))
+    if arr.shape != shape:
+        raise DimensionMismatch(f"expected {expected}, got shape {arr.shape}")
+    matrix = arr.ndim == 2
+    flat = arr.ravel()
+    mods = np.abs(flat)
+    if abs(math.sqrt(mods @ mods) - 1.0) > 1e-12:
+        norm = "Frobenius norm" if matrix else "norm"
+        raise ValueError(f"canonical representative must have unit {norm}")
+    top = complex(flat[mods.argmax()])  # the first largest entry, the usual pivot
+    if not (top.real > 0.0 and abs(top.imag) <= 1e-12):
+        ok = (flat.real > 0.0) & (np.abs(flat.imag) <= 1e-12)
+        ok[1:] &= mods[1:] > np.maximum.accumulate(mods)[:-1]
+        if not ok.any():
+            what = "entry" if matrix else "coordinate"
+            raise ValueError(f"pivot {what} must be real and positive")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +97,9 @@ class ProjPoint:
     h: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.h, dtype=dtype_for(self.field))
-        if arr.ndim != 1 or arr.shape[0] != self.n + 1:
-            raise DimensionMismatch(
-                f"expected {self.n + 1} homogeneous coordinates, got shape {arr.shape}"
-            )
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
-            raise ValueError("canonical representative must have unit norm")
-        piv = arr[_pivot_index(arr, DEFAULT_TOLERANCE.eps_abs)]
-        if abs(complex(piv).imag) > 1e-12 or complex(piv).real <= 0.0:
-            raise ValueError("pivot coordinate must be real and positive")
-        arr.setflags(write=False)
+        arr = _frozen_canonical(
+            self.h, self.field, (self.n + 1,), f"{self.n + 1} homogeneous coordinates"
+        )
         object.__setattr__(self, "h", arr)
 
 
@@ -94,18 +116,8 @@ class ProjMap:
     M: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.M, dtype=dtype_for(self.field))
-        if arr.ndim != 2 or arr.shape != (self.n + 1, self.n + 1):
-            raise DimensionMismatch(
-                f"expected a {self.n + 1}x{self.n + 1} matrix, got shape {arr.shape}"
-            )
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
-            raise ValueError("canonical representative must have unit Frobenius norm")
-        flat = arr.ravel()
-        piv = flat[_pivot_index(flat, DEFAULT_TOLERANCE.eps_abs)]
-        if abs(complex(piv).imag) > 1e-12 or complex(piv).real <= 0.0:
-            raise ValueError("pivot entry must be real and positive")
-        arr.setflags(write=False)
+        d = self.n + 1
+        arr = _frozen_canonical(self.M, self.field, (d, d), f"a {d}x{d} matrix")
         object.__setattr__(self, "M", arr)
 
 
@@ -174,12 +186,7 @@ def point_from_vector(
     All nonzero scalar multiples of ``v`` produce the same canonical
     coordinates (up to roundoff well under 1e-12).
     """
-    vec = as_vector(v, field)
-    nrm = float(np.linalg.norm(vec))
-    if nrm <= tol.eps_abs:
-        raise ZeroVector("cannot projectivize the zero vector")
-    u = vec / nrm
-    u = _phase_fixed(u, _pivot_index(u, tol.eps_abs))
+    u = _canonical(as_vector(v, field), tol)
     return ProjPoint(field_of(u), u.shape[0] - 1, u)
 
 
@@ -211,14 +218,14 @@ def map_from_matrix(
     a = as_matrix(A, field)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"projective maps need square matrices, got {a.shape}")
-    c = numerics.cond_estimate(a)
-    if c > tol.cond_max:
-        raise IllConditioned(
-            f"condition estimate {c:.3e} exceeds cap {tol.cond_max:.3e}"
-        )
-    flat = (a / np.linalg.norm(a)).ravel()
-    flat = _phase_fixed(flat, _pivot_index(flat, tol.eps_abs))
-    return ProjMap(field_of(flat), a.shape[0] - 1, flat.reshape(a.shape))
+    numerics.require_conditioned(a, tol)
+    return _map_class(a, tol)
+
+
+def _map_class(a: np.ndarray, tol: Tolerance) -> ProjMap:
+    """Class of a square matrix, unguarded: for inverses of guarded matrices
+    (cond(A^-1) = cond(A)) and for unitaries built here."""
+    return ProjMap(field_of(a), a.shape[0] - 1, _canonical(a, tol).reshape(a.shape))
 
 
 def maps_equal(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -241,12 +248,12 @@ def compose(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> Pro
 
 def inverse_map(t: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """Inverse transformation, the class of the inverse matrix."""
-    return map_from_matrix(numerics.invert(t.M, tol), tol)
+    return _map_class(numerics.invert(t.M, tol), tol)
 
 
 def identity_map(n: int, field: str = REAL, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """The identity transformation of an n-dimensional projective space."""
-    return map_from_matrix(np.eye(n + 1, dtype=dtype_for(field)), tol)
+    return _map_class(np.eye(n + 1, dtype=dtype_for(field)), tol)
 
 
 def group_dimension(n: int, field: str = REAL) -> int:
@@ -345,9 +352,7 @@ def point_membership(
 ) -> bool:
     """Whether the line of ``p`` lies inside the subspace."""
     _same_space(p, s)
-    b = s.basis
-    residual = p.h - b @ (b.conj().T @ p.h)
-    return bool(np.linalg.norm(residual) < tol.eps_abs)
+    return numerics.in_span(p.h, s.basis, tol)
 
 
 def subspace_image(
@@ -373,7 +378,7 @@ def transitive_witness(
     _same_space(p, q)
     up = _complete_to_unitary(p.h, tol)
     uq = _complete_to_unitary(q.h, tol)
-    return map_from_matrix(uq @ up.conj().T, tol)
+    return _map_class(uq @ up.conj().T, tol)
 
 
 def _complete_to_unitary(h: np.ndarray, tol: Tolerance) -> np.ndarray:

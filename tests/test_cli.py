@@ -261,3 +261,72 @@ def test_env_var_overrides_tolerance(docs, tmp_path, monkeypatch):
     res2 = run_cli("chart", "extract", docs("p2.json", p), "--j", "2")
     assert res2.returncode == 0
     assert res2.stdout.strip() != "null"
+
+
+def fiber_pair(sep):
+    """Two CP^1 points whose fibers are ``sep`` apart in S^3."""
+    h = np.array([0.6 - 0.3j, 0.2 + 0.7j]) / np.linalg.norm([0.6 - 0.3j, 0.2 + 0.7j])
+    perp = np.array([-np.conj(h[1]), np.conj(h[0])])
+    t = 2.0 * np.arcsin(sep / 2.0)
+    return point_from_vector(h), point_from_vector(np.cos(t) * h + np.sin(t) * np.exp(1.3j) * perp)
+
+
+@pytest.mark.parametrize("sep", [1e-3, 1e-4])
+def test_link_prints_the_crossing_count(docs, sep):
+    # the Gauss integral of these pairs at 2048 samples is -1.24 and -11.04
+    p, q = fiber_pair(sep)
+    res = run_cli("link", docs("p.json", p), docs("q.json", q))
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert list(out) == ["kind", "samples", "integral", "linking_number"]
+    assert out["linking_number"] == -1
+
+
+def test_link_too_close_to_resolve_exits_2(docs):
+    p, q = fiber_pair(1e-6)
+    res = run_cli("link", docs("p.json", p), docs("q.json", q))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "too close" in res.stderr
+
+
+def near_tie_point(docs):
+    # |h1| and |h2| are 1e-7 apart: a pivot tie at eps 1e-6, but not at 1e-9
+    z = (1.0 - 1e-7) * complex(np.exp(1j))
+    return docs("p.json", '{"kind": "proj_point", "field": "complex", "n": 1, '
+                          f'"h": [[{z.real!r}, {z.imag!r}], [1.0, 0.0]]}}'), z
+
+
+def test_chart_extract_near_tie_at_user_eps(docs):
+    path, z = near_tie_point(docs)
+    res = run_cli("chart", "extract", path, "--j", "1", "--eps", "1e-6")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["kind"] == "vector"
+    assert abs(complex(*out["v"][0]) - 1.0 / z) < 1e-12
+
+
+def test_chart_extract_near_tie_at_env_eps(docs):
+    import os
+
+    path, z = near_tie_point(docs)
+    env = dict(os.environ, PROJGEO_EPS="1e-6")
+    res = run_cli("chart", "extract", path, "--j", "1", env=env)
+    assert res.returncode == 0, res.stderr
+    assert abs(complex(*json.loads(res.stdout)["v"][0]) - 1.0 / z) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--trials", "0"], "trials must be at least 1"),
+        (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
+        (["--seed", str(2 ** 64)], "seed must fit in 64 unsigned bits"),
+        (["--lambda", "0.5"], "scale must have absolute value larger than 1"),
+    ],
+)
+def test_check_argument_guards_exit_2(args, message):
+    res = run_cli("check", "--suite", "projective", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"projgeo: {message}\n"

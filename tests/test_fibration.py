@@ -141,6 +141,26 @@ def test_min_distance_monotone_refinement():
     assert last > 0.9 * exact
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("m", [1, 3, 16, 101])
+def test_min_distance_matches_gram_matrix(n, m):
+    rng = np.random.default_rng(100 * n + m)
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    for _ in range(20):
+        p, q = rand_distinct_points(rng, n, "complex")
+        xs = np.exp(1j * thetas)[:, None] * p.h
+        ys = np.exp(1j * thetas)[:, None] * q.h
+        brute = np.sqrt(np.maximum(2.0 - 2.0 * (xs @ ys.conj().T).real, 0.0).min())
+        assert abs(fibers_min_distance(p, q, m) - brute) < 1e-12
+
+
+def test_min_distance_large_m_is_linear():
+    # the m x m Gram matrix of samples would take 16 TiB here
+    p, q = rand_distinct_points(np.random.default_rng(47), 3, "complex")
+    exact = np.sqrt(2.0 - 2.0 * abs(np.vdot(p.h, q.h)))
+    assert exact - 1e-12 <= fibers_min_distance(p, q, 2 ** 20) < exact + 1e-9
+
+
 def test_min_distance_same_point_rejected():
     p = cpoint(1.0, 2.0j)
     with pytest.raises(SamePoint):

@@ -6,6 +6,7 @@ from projgeo import (
     IllConditioned,
     InvalidRange,
     ShapeMismatch,
+    Tolerance,
     annihilator,
     apply_gl,
     chart_coords,
@@ -30,6 +31,15 @@ def span(*columns):
 
 
 # --- graph charts -----------------------------------------------------------
+
+
+def test_graph_chart_transversality_at_user_eps():
+    base = span([1.0, 0.0])
+    tilted = span([1.0, 1e-7])  # stacked basis: smallest singular value ~7e-8
+    assert np.linalg.svd(np.hstack([base.basis, tilted.basis]), compute_uv=False)[-1] < 1e-7
+    graph_chart(base, tilted)
+    with pytest.raises(ValueError, match="not transverse"):
+        graph_chart(base, tilted, Tolerance(eps_abs=1e-6))
 
 
 def test_graph_at_zero_is_base():

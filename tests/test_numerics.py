@@ -6,10 +6,12 @@ from projgeo.errors import IllConditioned, NotSquare, RankDeficientToZero
 from projgeo.numerics import (
     Tolerance,
     cond_estimate,
+    in_span,
     invert,
     kernel,
     orthonormalize,
     projector_distance,
+    require_conditioned,
 )
 
 
@@ -130,3 +132,17 @@ def test_tolerance_validation():
         Tolerance(eps_abs=0.0)
     with pytest.raises(ValueError):
         Tolerance(cond_max=1.0)
+
+
+def test_require_conditioned_names_estimate_and_cap():
+    tol = Tolerance(cond_max=1e3)
+    require_conditioned(np.diag([1.0, 1e-3]), tol)
+    with pytest.raises(IllConditioned, match=r"^condition estimate 1\.000e\+04 exceeds cap 1\.000e\+03$"):
+        require_conditioned(np.diag([1.0, 1e-4]), tol)
+
+
+def test_in_span_residual_against_eps():
+    basis = np.eye(3)[:, :2]
+    assert in_span(np.array([0.6, 0.8, 0.0]), basis, Tolerance())
+    assert not in_span(np.array([0.6, 0.8, 1e-6]), basis, Tolerance())
+    assert in_span(np.array([0.6, 0.8, 1e-6]), basis, Tolerance(eps_abs=1e-5))

@@ -6,6 +6,8 @@ from projgeo import (
     AffineChart,
     DimensionMismatch,
     IllConditioned,
+    ProjMap,
+    ProjPoint,
     Tolerance,
     ZeroVector,
     apply_map,
@@ -349,3 +351,40 @@ def test_custom_tolerance_threads_through():
     q = point_from_vector([1.0, 5e-13], tight)
     assert not points_equal(p, q, tight)
     assert points_equal(p, q, Tolerance(eps_abs=1e-6))
+
+
+# --- tolerance path -----------------------------------------------------------
+
+LOOSE = Tolerance(eps_abs=1e-6)
+SCALARS = (1.0, -2.5, 1e-3 * np.exp(0.4j), 7e4 * np.exp(-2.1j))
+
+
+def test_point_near_tie_at_user_eps():
+    # |v1| and |v2| are 1e-7 apart: one pivot at eps 1e-6, another at the default
+    v = np.array([(1.0 - 1e-7) * np.exp(1j), 1.0])
+    p = point_from_vector(v, LOOSE)
+    assert p.h[0].real > 0.0 and abs(p.h[0].imag) < 1e-15
+    assert np.max(np.abs(point_from_vector(p.h, LOOSE).h - p.h)) < 1e-15
+    for a in SCALARS:
+        assert np.max(np.abs(point_from_vector(a * v, LOOSE).h - p.h)) < 1e-12
+
+
+def test_map_near_tie_at_user_eps():
+    a0 = np.array([[(1.0 - 1e-7) * np.exp(1j), 0.3], [0.2j, 1.0]])
+    t = map_from_matrix(a0, LOOSE)
+    assert t.M[0, 0].real > 0.0 and abs(t.M[0, 0].imag) < 1e-15
+    assert np.max(np.abs(map_from_matrix(t.M, LOOSE).M - t.M)) < 1e-15
+    for a in SCALARS:
+        assert np.max(np.abs(map_from_matrix(a * a0, LOOSE).M - t.M)) < 1e-12
+
+
+def test_constructors_reject_non_canonical_representatives():
+    with pytest.raises(ValueError, match="pivot coordinate must be real and positive"):
+        ProjPoint("real", 1, [-1.0, 0.0])
+    m = np.array([[-0.8, 0.3], [0.4, 0.2]])
+    with pytest.raises(ValueError, match="pivot entry must be real and positive"):
+        ProjMap("real", 1, m / np.linalg.norm(m))
+    with pytest.raises(ValueError, match="unit norm"):
+        ProjPoint("real", 1, [2.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        ProjMap("real", 2, np.eye(2) / np.sqrt(2.0))
