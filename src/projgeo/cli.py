@@ -19,7 +19,6 @@ import numpy as np
 
 from projgeo import grassmann, hopf_fibration, hopf_manifold, jsonio, projective, suites
 from projgeo.errors import (
-    DegenerateProjection,
     DimensionMismatch,
     FieldMismatch,
     IllConditioned,
@@ -28,8 +27,6 @@ from projgeo.errors import (
     ProjGeoError,
     SamePoint,
     ShapeMismatch,
-    SingularCoefficients,
-    ZeroVector,
 )
 from projgeo.hopf_fibration import ExtendedComplex
 from projgeo.hopf_manifold import HopfPoint, ScaleGroup
@@ -65,7 +62,9 @@ def _load(path: str) -> dict:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(jsonio.dumps(jsonio.encode(obj)) + "\n")
+    """Print a wire-format object as one JSON line; ``None`` prints ``null``."""
+    text = "null" if obj is None else jsonio.dumps(jsonio.encode(obj))
+    sys.stdout.write(text + "\n")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -154,11 +153,7 @@ def _cmd_chart(args) -> int:
         if not isinstance(p, ProjPoint):
             raise DimensionMismatch("extract expects a proj_point document")
         chart = projective.AffineChart(p.n, args.j)
-        coords = projective.chart_extract(chart, p, tol)
-        if coords is None:
-            sys.stdout.write("null\n")
-        else:
-            _emit(coords)
+        _emit(projective.chart_extract(chart, p, tol))
         return 0
     # transition
     w = jsonio.decode(_load(args.input), tol)
@@ -168,11 +163,7 @@ def _cmd_chart(args) -> int:
         w = as_vector(w, args.field)
     c1 = projective.AffineChart(w.shape[0], args.j1)
     c2 = projective.AffineChart(w.shape[0], args.j2)
-    coords = projective.chart_transition(c1, c2, w, tol)
-    if coords is None:
-        sys.stdout.write("null\n")
-    else:
-        _emit(coords)
+    _emit(projective.chart_transition(c1, c2, w, tol))
     return 0
 
 
@@ -210,11 +201,7 @@ def _cmd_grassmann(args) -> int:
     x = jsonio.decode(_load(args.subspace), tol)
     if not isinstance(x, grassmann.Subspace):
         raise DimensionMismatch("coords expects a subspace document")
-    coords = grassmann.chart_coords(chart, x, tol)
-    if coords is None:
-        sys.stdout.write("null\n")
-    else:
-        _emit(coords)
+    _emit(grassmann.chart_coords(chart, x, tol))
     return 0
 
 
@@ -402,10 +389,6 @@ def main(argv=None) -> int:
         KeyError,
         TypeError,
         ValueError,
-        ZeroVector,
-        InvalidRange,
-        SingularCoefficients,
-        DegenerateProjection,
         ProjGeoError,
     ) as exc:
         print(f"projgeo: {exc}", file=sys.stderr)

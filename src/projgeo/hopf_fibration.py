@@ -153,10 +153,6 @@ def complex_fiber_sample(p: ProjPoint, m: int) -> list[SpherePoint]:
     return [SpherePoint(COMPLEX, p.n + 1, ph * p.h) for ph in phases]
 
 
-def _fiber_array(h: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    return np.exp(1j * thetas)[:, None] * h[None, :]
-
-
 def fibers_min_distance(
     p: ProjPoint, q: ProjPoint, m: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
@@ -204,15 +200,11 @@ def _pole_clearance(h: np.ndarray) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(h[1])))
 
 
-def _to_r4(points: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [points[:, 0].real, points[:, 0].imag, points[:, 1].real, points[:, 1].imag],
-        axis=-1,
-    )
-
-
-def _stereo_r3(points4: np.ndarray) -> np.ndarray:
-    return points4[:, :3] / (1.0 + points4[:, 3:4])
+def _stereo_fiber(h: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """R^3 stereographic images of the fiber points e^{i theta} h, one row per theta."""
+    z = np.exp(1j * thetas)[:, None] * h[None, :]
+    x4 = np.stack([z[:, 0].real, z[:, 0].imag, z[:, 1].real, z[:, 1].imag], axis=-1)
+    return x4[:, :3] / (1.0 + x4[:, 3:4])
 
 
 def _clear_pole(*reps: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -235,8 +227,7 @@ def fiber_stereo_samples(p: ProjPoint, m: int) -> np.ndarray:
     if m < 1:
         raise InvalidRange("need at least one sample")
     (h,) = _clear_pole(p.h)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    return _stereo_r3(_to_r4(_fiber_array(h, thetas)))
+    return _stereo_fiber(h, 2.0 * np.pi * np.arange(m) / m)
 
 
 def _linked_pair(
@@ -267,11 +258,8 @@ def linking_integral(
     edges = 2.0 * np.pi * np.arange(m) / m
     mids = edges + np.pi / m
 
-    def curve(h: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        return _stereo_r3(_to_r4(_fiber_array(h, thetas)))
-
-    a_edge, a_mid = curve(hp, edges), curve(hp, mids)
-    b_edge, b_mid = curve(hq, edges), curve(hq, mids)
+    a_edge, a_mid = _stereo_fiber(hp, edges), _stereo_fiber(hp, mids)
+    b_edge, b_mid = _stereo_fiber(hq, edges), _stereo_fiber(hq, mids)
     a_seg = np.roll(a_edge, -1, axis=0) - a_edge
     b_seg = np.roll(b_edge, -1, axis=0) - b_edge
 
@@ -300,7 +288,7 @@ def _stereo_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     # e^{i t} h is nearest the pole (0, -i) when i e^{i t} h2 is real and positive
     nearest = -cmath.phase(h[1]) - 0.5 * math.pi
     thetas = nearest + np.array([0.0, 0.5, 1.0]) * math.pi
-    near, quarter, far = _stereo_r3(_to_r4(_fiber_array(h, thetas)))
+    near, quarter, far = _stereo_fiber(h, thetas)
     centre = 0.5 * (near + far)
     normal = np.cross(near - centre, quarter - centre)
     return centre, normal / np.linalg.norm(normal), 0.5 * float(np.linalg.norm(near - far))
@@ -348,7 +336,7 @@ def linking_number(
             f"sep / 2 must exceed 4 r (1 - cos(pi / m)) = {bound:.3g}"
         )
 
-    verts = _stereo_r3(_to_r4(_fiber_array(hq, 2.0 * np.pi * np.arange(m) / m))) - centre
+    verts = _stereo_fiber(hq, 2.0 * np.pi * np.arange(m) / m) - centre
     height = verts @ normal
     above = height >= 0.0
     start = np.flatnonzero(above != np.roll(above, -1))

@@ -1,9 +1,10 @@
 """Seeded property suites behind the ``check`` command.
 
-Each property runs a number of independent seeded trials and reports a
-(passed, total) pair; a suite is a fixed ordered list of properties.
-The sampling helpers at the top double as reusable generators for the
-pytest suite.
+Each property is a predicate over one seeded trial, and a suite is a
+fixed ordered list of properties.  ``run_suite`` is the only code that
+loops over trials: it counts the passes of each property and reports
+them as a (passed, total) pair.  The sampling helpers at the top double
+as reusable generators for the pytest suite.
 """
 
 from typing import Callable, NamedTuple
@@ -11,6 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from projgeo import grassmann, hopf_fibration, hopf_manifold, numerics, projective
+from projgeo.errors import ProjGeoError
 from projgeo.numerics import COMPLEX, REAL, Tolerance
 
 _FIELDS = (REAL, COMPLEX)
@@ -79,113 +81,90 @@ def _cycle(i: int) -> tuple[str, int]:
 # --- projective ----------------------------------------------------------
 
 
-def _prop_scalar_invariance(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n = _cycle(i)
-        v = rand_nonzero_vector(rng, n + 1, field)
-        alpha = rand_nonzero_scalar(rng, field)
-        p1 = projective.point_from_vector(v, tol)
-        p2 = projective.point_from_vector(alpha * v, tol)
-        a = rand_invertible(rng, n + 1, field)
-        beta = rand_nonzero_scalar(rng, field)
-        t1 = projective.map_from_matrix(a, tol)
-        t2 = projective.map_from_matrix(beta * a, tol)
-        if np.max(np.abs(p1.h - p2.h)) < 1e-12 and np.max(np.abs(t1.M - t2.M)) < 1e-12:
-            ok += 1
-    return ok, trials
+def _prop_scalar_invariance(rng, i, tol, lam):
+    field, n = _cycle(i)
+    v = rand_nonzero_vector(rng, n + 1, field)
+    alpha = rand_nonzero_scalar(rng, field)
+    p1 = projective.point_from_vector(v, tol)
+    p2 = projective.point_from_vector(alpha * v, tol)
+    a = rand_invertible(rng, n + 1, field)
+    beta = rand_nonzero_scalar(rng, field)
+    t1 = projective.map_from_matrix(a, tol)
+    t2 = projective.map_from_matrix(beta * a, tol)
+    return np.max(np.abs(p1.h - p2.h)) < 1e-12 and np.max(np.abs(t1.M - t2.M)) < 1e-12
 
 
-def _prop_functoriality(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n = _cycle(i)
-        t1 = rand_proj_map(rng, n, field, tol)
-        t2 = rand_proj_map(rng, n, field, tol)
-        p = rand_proj_point(rng, n, field, tol)
-        lhs = projective.apply_map(projective.compose(t1, t2, tol), p, tol)
-        rhs = projective.apply_map(t1, projective.apply_map(t2, p, tol), tol)
-        if np.max(np.abs(lhs.h - rhs.h)) < 1e-9:
-            ok += 1
-    return ok, trials
+def _prop_functoriality(rng, i, tol, lam):
+    field, n = _cycle(i)
+    t1 = rand_proj_map(rng, n, field, tol)
+    t2 = rand_proj_map(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field, tol)
+    lhs = projective.apply_map(projective.compose(t1, t2, tol), p, tol)
+    rhs = projective.apply_map(t1, projective.apply_map(t2, p, tol), tol)
+    return np.max(np.abs(lhs.h - rhs.h)) < 1e-9
 
 
-def _prop_inverse_law(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n = _cycle(i)
-        t = rand_proj_map(rng, n, field, tol)
-        p = rand_proj_point(rng, n, field, tol)
-        ident = projective.identity_map(n, field, tol)
-        round_trip = projective.apply_map(
-            projective.inverse_map(t, tol), projective.apply_map(t, p, tol), tol
-        )
-        composed = projective.compose(t, projective.inverse_map(t, tol), tol)
-        if (
-            np.max(np.abs(round_trip.h - p.h)) < 1e-9
-            and np.max(np.abs(composed.M - ident.M)) < 1e-9
-        ):
-            ok += 1
-    return ok, trials
+def _prop_inverse_law(rng, i, tol, lam):
+    field, n = _cycle(i)
+    t = rand_proj_map(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field, tol)
+    ident = projective.identity_map(n, field, tol)
+    round_trip = projective.apply_map(
+        projective.inverse_map(t, tol), projective.apply_map(t, p, tol), tol
+    )
+    composed = projective.compose(t, projective.inverse_map(t, tol), tol)
+    return (
+        np.max(np.abs(round_trip.h - p.h)) < 1e-9
+        and np.max(np.abs(composed.M - ident.M)) < 1e-9
+    )
 
 
-def _prop_atlas_cover(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n = _cycle(i)
-        p = rand_proj_point(rng, n, field, tol)
-        chart = projective.chart_cover(p, tol)
-        coords = projective.chart_extract(chart, p, tol)
-        if coords is None:
-            continue
-        pivot_ok = abs(p.h[chart.j - 1]) >= 1.0 / np.sqrt(n + 1) - 1e-12
-        back = projective.chart_embed(chart, coords, tol, field)
-        w = rand_vector(rng, n, field)
-        there = projective.chart_extract(chart, projective.chart_embed(chart, w, tol, field), tol)
-        if (
-            pivot_ok
-            and np.max(np.abs(back.h - p.h)) < 1e-10
-            and there is not None
-            and np.max(np.abs(there - w)) < 1e-10
-        ):
-            ok += 1
-    return ok, trials
+def _prop_atlas_cover(rng, i, tol, lam):
+    field, n = _cycle(i)
+    p = rand_proj_point(rng, n, field, tol)
+    chart = projective.chart_cover(p, tol)
+    coords = projective.chart_extract(chart, p, tol)
+    if coords is None:
+        return False
+    pivot_ok = abs(p.h[chart.j - 1]) >= 1.0 / np.sqrt(n + 1) - 1e-12
+    back = projective.chart_embed(chart, coords, tol, field)
+    w = rand_vector(rng, n, field)
+    there = projective.chart_extract(chart, projective.chart_embed(chart, w, tol, field), tol)
+    return (
+        pivot_ok
+        and np.max(np.abs(back.h - p.h)) < 1e-10
+        and there is not None
+        and np.max(np.abs(there - w)) < 1e-10
+    )
 
 
-def _prop_missing_locus(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n = _cycle(i)
-        p = rand_proj_point(rng, n, field, tol)
-        good = True
-        for j in range(1, n + 2):
-            chart = projective.AffineChart(n, j)
-            locus = projective.missing_locus(chart, field)
-            absent = projective.chart_extract(chart, p, tol) is None
-            if absent != projective.point_membership(p, locus, tol):
-                good = False
-            # a point manufactured on the locus must be invisible to the chart
-            coeffs = rand_nonzero_vector(rng, n, field)
-            on_locus = projective.point_from_vector(locus.basis @ coeffs, tol)
-            if projective.chart_extract(chart, on_locus, tol) is not None:
-                good = False
-            if not projective.point_membership(on_locus, locus, tol):
-                good = False
-        ok += good
-    return ok, trials
+def _prop_missing_locus(rng, i, tol, lam):
+    field, n = _cycle(i)
+    p = rand_proj_point(rng, n, field, tol)
+    good = True
+    for j in range(1, n + 2):
+        chart = projective.AffineChart(n, j)
+        locus = projective.missing_locus(chart, field)
+        absent = projective.chart_extract(chart, p, tol) is None
+        if absent != projective.point_membership(p, locus, tol):
+            good = False
+        # a point manufactured on the locus must be invisible to the chart
+        coeffs = rand_nonzero_vector(rng, n, field)
+        on_locus = projective.point_from_vector(locus.basis @ coeffs, tol)
+        if projective.chart_extract(chart, on_locus, tol) is not None:
+            good = False
+        if not projective.point_membership(on_locus, locus, tol):
+            good = False
+    return good
 
 
-def _prop_transitivity(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n = _cycle(i)
-        p = rand_proj_point(rng, n, field, tol)
-        q = rand_proj_point(rng, n, field, tol)
-        t = projective.transitive_witness(p, q, tol)
-        image = projective.apply_map(t, p, tol)
-        if np.max(np.abs(image.h - q.h)) < 1e-9:
-            ok += 1
-    return ok, trials
+def _prop_transitivity(rng, i, tol, lam):
+    field, n = _cycle(i)
+    p = rand_proj_point(rng, n, field, tol)
+    q = rand_proj_point(rng, n, field, tol)
+    t = projective.transitive_witness(p, q, tol)
+    image = projective.apply_map(t, p, tol)
+    return np.max(np.abs(image.h - q.h)) < 1e-9
 
 
 # --- grassmann -----------------------------------------------------------
@@ -198,110 +177,86 @@ def _gr_cycle(i: int) -> tuple[str, int, int]:
     return _FIELDS[i % 2], n, k
 
 
-def _prop_graph_roundtrip(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n, k = _gr_cycle(i)
-        base = rand_subspace(rng, n, k, field, tol)
-        chart = grassmann.graph_chart(base, tol=tol)
-        coeffs = rand_vector(rng, (n - k) * k, field).reshape(n - k, k)
-        graph = grassmann.graph_subspace(chart, coeffs, tol)
-        recovered = grassmann.chart_coords(chart, graph, tol)
-        zero = grassmann.chart_coords(chart, grassmann.graph_subspace(chart, np.zeros((n - k, k)), tol), tol)
-        if (
-            graph.k == k
-            and recovered is not None
-            and np.max(np.abs(recovered - coeffs)) < 1e-9
-            and zero is not None
-            and np.max(np.abs(zero)) < 1e-9
-        ):
-            ok += 1
-    return ok, trials
+def _prop_graph_roundtrip(rng, i, tol, lam):
+    field, n, k = _gr_cycle(i)
+    base = rand_subspace(rng, n, k, field, tol)
+    chart = grassmann.graph_chart(base, tol=tol)
+    coeffs = rand_vector(rng, (n - k) * k, field).reshape(n - k, k)
+    graph = grassmann.graph_subspace(chart, coeffs, tol)
+    recovered = grassmann.chart_coords(chart, graph, tol)
+    zero = grassmann.chart_coords(chart, grassmann.graph_subspace(chart, np.zeros((n - k, k)), tol), tol)
+    return (
+        graph.k == k
+        and recovered is not None
+        and np.max(np.abs(recovered - coeffs)) < 1e-9
+        and zero is not None
+        and np.max(np.abs(zero)) < 1e-9
+    )
 
 
-def _prop_group_action(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n, k = _gr_cycle(i)
-        s = rand_subspace(rng, n, k, field, tol)
-        g1 = rand_invertible(rng, n, field)
-        g2 = rand_invertible(rng, n, field)
-        ident = grassmann.apply_gl(np.eye(n), s, tol)
-        composed = grassmann.apply_gl(g1 @ g2, s, tol)
-        stepped = grassmann.apply_gl(g1, grassmann.apply_gl(g2, s, tol), tol)
-        scaled = grassmann.apply_gl(rand_nonzero_scalar(rng, field) * g1, s, tol)
-        once = grassmann.apply_gl(g1, s, tol)
-        if (
-            numerics.projector_distance(ident.basis, s.basis) < 1e-12
-            and numerics.projector_distance(composed.basis, stepped.basis) < 1e-9
-            and numerics.projector_distance(scaled.basis, once.basis) < 1e-9
-        ):
-            ok += 1
-    return ok, trials
+def _prop_group_action(rng, i, tol, lam):
+    field, n, k = _gr_cycle(i)
+    s = rand_subspace(rng, n, k, field, tol)
+    g1 = rand_invertible(rng, n, field)
+    g2 = rand_invertible(rng, n, field)
+    ident = grassmann.apply_gl(np.eye(n), s, tol)
+    composed = grassmann.apply_gl(g1 @ g2, s, tol)
+    stepped = grassmann.apply_gl(g1, grassmann.apply_gl(g2, s, tol), tol)
+    scaled = grassmann.apply_gl(rand_nonzero_scalar(rng, field) * g1, s, tol)
+    once = grassmann.apply_gl(g1, s, tol)
+    return (
+        numerics.projector_distance(ident.basis, s.basis) < 1e-12
+        and numerics.projector_distance(composed.basis, stepped.basis) < 1e-9
+        and numerics.projector_distance(scaled.basis, once.basis) < 1e-9
+    )
 
 
-def _prop_gr_transitivity(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n, k = _gr_cycle(i)
-        l1 = rand_subspace(rng, n, k, field, tol)
-        l2 = rand_subspace(rng, n, k, field, tol)
-        g = grassmann.transitive_witness_gr(l1, l2)
-        moved = grassmann.apply_gl(g, l1, tol)
-        if numerics.projector_distance(moved.basis, l2.basis) < 1e-9:
-            ok += 1
-    return ok, trials
+def _prop_gr_transitivity(rng, i, tol, lam):
+    field, n, k = _gr_cycle(i)
+    l1 = rand_subspace(rng, n, k, field, tol)
+    l2 = rand_subspace(rng, n, k, field, tol)
+    g = grassmann.transitive_witness_gr(l1, l2)
+    moved = grassmann.apply_gl(g, l1, tol)
+    return numerics.projector_distance(moved.basis, l2.basis) < 1e-9
 
 
-def _prop_complement_involution(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n, k = _gr_cycle(i)
-        s = rand_subspace(rng, n, k, field, tol)
-        comp = grassmann.orthogonal_complement(s, tol)
-        back = grassmann.orthogonal_complement(comp, tol)
-        orth = np.max(np.abs(s.basis.conj().T @ comp.basis))
-        if (
-            comp.k == n - k
-            and orth < 1e-10
-            and numerics.projector_distance(back.basis, s.basis) < 1e-10
-        ):
-            ok += 1
-    return ok, trials
+def _prop_complement_involution(rng, i, tol, lam):
+    field, n, k = _gr_cycle(i)
+    s = rand_subspace(rng, n, k, field, tol)
+    comp = grassmann.orthogonal_complement(s, tol)
+    back = grassmann.orthogonal_complement(comp, tol)
+    orth = np.max(np.abs(s.basis.conj().T @ comp.basis))
+    return (
+        comp.k == n - k
+        and orth < 1e-10
+        and numerics.projector_distance(back.basis, s.basis) < 1e-10
+    )
 
 
-def _prop_annihilator_involution(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field, n, k = _gr_cycle(i)
-        s = rand_subspace(rng, n, k, field, tol)
-        ann = grassmann.annihilator(s, tol)
-        back = grassmann.annihilator(ann, tol)
-        pairing = np.max(np.abs(s.basis.T @ ann.basis))
-        if (
-            ann.k == n - k
-            and pairing < 1e-10
-            and numerics.projector_distance(back.basis, s.basis) < 1e-10
-        ):
-            ok += 1
-    return ok, trials
+def _prop_annihilator_involution(rng, i, tol, lam):
+    field, n, k = _gr_cycle(i)
+    s = rand_subspace(rng, n, k, field, tol)
+    ann = grassmann.annihilator(s, tol)
+    back = grassmann.annihilator(ann, tol)
+    pairing = np.max(np.abs(s.basis.T @ ann.basis))
+    return (
+        ann.k == n - k
+        and pairing < 1e-10
+        and numerics.projector_distance(back.basis, s.basis) < 1e-10
+    )
 
 
-def _prop_projective_consistency(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        field = _FIELDS[i % 2]
-        n = _DIMS[(i // 2) % len(_DIMS)] + 1
-        line = rand_subspace(rng, n, 1, field, tol)
-        point = grassmann.to_projective_point(line, tol)
-        back = grassmann.from_projective_point(point)
-        p2 = grassmann.to_projective_point(back, tol)
-        if (
-            numerics.projector_distance(back.basis, line.basis) < 1e-10
-            and projective.points_equal(point, p2, tol)
-        ):
-            ok += 1
-    return ok, trials
+def _prop_projective_consistency(rng, i, tol, lam):
+    field = _FIELDS[i % 2]
+    n = _DIMS[(i // 2) % len(_DIMS)] + 1
+    line = rand_subspace(rng, n, 1, field, tol)
+    point = grassmann.to_projective_point(line, tol)
+    back = grassmann.from_projective_point(point)
+    p2 = grassmann.to_projective_point(back, tol)
+    return (
+        numerics.projector_distance(back.basis, line.basis) < 1e-10
+        and projective.points_equal(point, p2, tol)
+    )
 
 
 # --- hopf manifold -------------------------------------------------------
@@ -311,199 +266,156 @@ def _hopf_fields(group: hopf_manifold.ScaleGroup) -> tuple[str, ...]:
     return (REAL, COMPLEX) if group.is_real else (COMPLEX,)
 
 
-def _prop_canonical_window(rng, trials, tol, lam):
+def _prop_canonical_window(rng, i, tol, lam):
     group = hopf_manifold.ScaleGroup(lam)
     fields = _hopf_fields(group)
     a = group.abs_scale
-    ok = 0
-    for i in range(trials):
-        field = fields[i % len(fields)]
-        n = _DIMS[(i // len(fields)) % len(_DIMS)]
-        v = rand_nonzero_vector(rng, n, field)
-        v = v * (a ** rng.integers(-6, 7))  # spread norms across many windows
-        h = hopf_manifold.quotient_project(v, group, tol)
-        nrm = np.linalg.norm(h.rep)
-        again = hopf_manifold.quotient_project(h.rep, group, tol)
-        if (
-            1.0 - 1e-12 <= nrm < a * (1.0 - 1e-12)
-            and np.array_equal(again.rep, h.rep)
-        ):
-            ok += 1
-    return ok, trials
+    field = fields[i % len(fields)]
+    n = _DIMS[(i // len(fields)) % len(_DIMS)]
+    v = rand_nonzero_vector(rng, n, field)
+    v = v * (a ** rng.integers(-6, 7))  # spread norms across many windows
+    h = hopf_manifold.quotient_project(v, group, tol)
+    nrm = np.linalg.norm(h.rep)
+    again = hopf_manifold.quotient_project(h.rep, group, tol)
+    return (
+        1.0 - 1e-12 <= nrm < a * (1.0 - 1e-12)
+        and np.array_equal(again.rep, h.rep)
+    )
 
 
-def _prop_class_equality(rng, trials, tol, lam):
+def _prop_class_equality(rng, i, tol, lam):
     group = hopf_manifold.ScaleGroup(lam)
     fields = _hopf_fields(group)
-    ok = 0
-    for i in range(trials):
-        field = fields[i % len(fields)]
-        n = _DIMS[(i // len(fields)) % len(_DIMS)]
-        v = rand_nonzero_vector(rng, n, field)
-        m = int(rng.integers(-8, 9))
-        w = v * group.power(m, field)
-        same = hopf_manifold.hopf_points_equal(v, w, group, tol)
-        other = hopf_manifold.hopf_points_equal(v, v + rand_nonzero_vector(rng, n, field), group, tol)
-        flipped = hopf_manifold.hopf_points_equal(v, -v, group, tol)
-        if same and not other and not flipped:
-            ok += 1
-    return ok, trials
+    field = fields[i % len(fields)]
+    n = _DIMS[(i // len(fields)) % len(_DIMS)]
+    v = rand_nonzero_vector(rng, n, field)
+    m = int(rng.integers(-8, 9))
+    w = v * group.power(m, field)
+    same = hopf_manifold.hopf_points_equal(v, w, group, tol)
+    other = hopf_manifold.hopf_points_equal(v, v + rand_nonzero_vector(rng, n, field), group, tol)
+    flipped = hopf_manifold.hopf_points_equal(v, -v, group, tol)
+    return same and not other and not flipped
 
 
-def _prop_projection_factorizes(rng, trials, tol, lam):
+def _prop_projection_factorizes(rng, i, tol, lam):
     group = hopf_manifold.ScaleGroup(lam)
     fields = _hopf_fields(group)
-    ok = 0
-    for i in range(trials):
-        field = fields[i % len(fields)]
-        n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
-        v = rand_nonzero_vector(rng, n, field)
-        m = int(rng.integers(-6, 7))
-        w = v * group.power(m, field)
-        pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group, tol), tol)
-        pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group, tol), tol)
-        if projective.points_equal(pv, pw, tol):
-            ok += 1
-    return ok, trials
+    field = fields[i % len(fields)]
+    n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
+    v = rand_nonzero_vector(rng, n, field)
+    m = int(rng.integers(-6, 7))
+    w = v * group.power(m, field)
+    pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group, tol), tol)
+    pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group, tol), tol)
+    return projective.points_equal(pv, pw, tol)
 
 
-def _prop_equivariance(rng, trials, tol, lam):
+def _prop_equivariance(rng, i, tol, lam):
     group = hopf_manifold.ScaleGroup(lam)
     fields = _hopf_fields(group)
-    ok = 0
-    for i in range(trials):
-        field = fields[i % len(fields)]
-        n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
-        v = rand_nonzero_vector(rng, n, field)
-        g = rand_invertible(rng, n, field)
-        h = hopf_manifold.quotient_project(v, group, tol)
-        h_alt = hopf_manifold.quotient_project(v * group.power(3, field), group, tol)
-        moved = hopf_manifold.induced_linear(g, h, tol)
-        moved_alt = hopf_manifold.induced_linear(g, h_alt, tol)
-        top = hopf_manifold.to_projective(moved, tol)
-        bottom = projective.apply_map(
-            projective.map_from_matrix(g, tol), hopf_manifold.to_projective(h, tol), tol
-        )
-        if (
-            np.max(np.abs(moved.rep - moved_alt.rep)) < 1e-9
-            and np.max(np.abs(top.h - bottom.h)) < 1e-9
-        ):
-            ok += 1
-    return ok, trials
+    field = fields[i % len(fields)]
+    n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
+    v = rand_nonzero_vector(rng, n, field)
+    g = rand_invertible(rng, n, field)
+    h = hopf_manifold.quotient_project(v, group, tol)
+    h_alt = hopf_manifold.quotient_project(v * group.power(3, field), group, tol)
+    moved = hopf_manifold.induced_linear(g, h, tol)
+    moved_alt = hopf_manifold.induced_linear(g, h_alt, tol)
+    top = hopf_manifold.to_projective(moved, tol)
+    bottom = projective.apply_map(
+        projective.map_from_matrix(g, tol), hopf_manifold.to_projective(h, tol), tol
+    )
+    return (
+        np.max(np.abs(moved.rep - moved_alt.rep)) < 1e-9
+        and np.max(np.abs(top.h - bottom.h)) < 1e-9
+    )
 
 
-def _prop_trace_invariance(rng, trials, tol, lam):
+def _prop_trace_invariance(rng, i, tol, lam):
     group = hopf_manifold.ScaleGroup(lam)
     fields = _hopf_fields(group)
-    ok = 0
-    for i in range(trials):
-        field = fields[i % len(fields)]
-        n, k = _GR_SHAPES[(i // len(fields)) % len(_GR_SHAPES)]
-        s = rand_subspace(rng, n, k, field, tol)
-        inside = s.basis @ rand_nonzero_vector(rng, k, field)
-        outside = rand_nonzero_vector(rng, n, field)
-        votes = []
-        for m in range(-5, 6):
-            hv = hopf_manifold.quotient_project(inside * group.power(m, field), group, tol)
-            votes.append(hopf_manifold.subspace_trace_membership(hv, s, tol))
-        h_out = hopf_manifold.quotient_project(outside, group, tol)
-        generic_out = hopf_manifold.subspace_trace_membership(h_out, s, tol)
-        if all(votes) and not generic_out:
-            ok += 1
-    return ok, trials
+    field = fields[i % len(fields)]
+    n, k = _GR_SHAPES[(i // len(fields)) % len(_GR_SHAPES)]
+    s = rand_subspace(rng, n, k, field, tol)
+    inside = s.basis @ rand_nonzero_vector(rng, k, field)
+    outside = rand_nonzero_vector(rng, n, field)
+    votes = []
+    for m in range(-5, 6):
+        hv = hopf_manifold.quotient_project(inside * group.power(m, field), group, tol)
+        votes.append(hopf_manifold.subspace_trace_membership(hv, s, tol))
+    h_out = hopf_manifold.quotient_project(outside, group, tol)
+    generic_out = hopf_manifold.subspace_trace_membership(h_out, s, tol)
+    return all(votes) and not generic_out
 
 
 # --- fibration -----------------------------------------------------------
 
 
-def _prop_real_double_cover(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        n = _DIMS[i % len(_DIMS)]
-        p = rand_proj_point(rng, n, REAL, tol)
-        x1, x2 = hopf_fibration.real_fiber(p)
-        back1 = hopf_fibration.hopf_project(x1, tol)
-        back2 = hopf_fibration.hopf_project(x2, tol)
-        if (
-            np.array_equal(x1.x, -x2.x)
-            and abs(np.linalg.norm(x1.x) - 1.0) < 1e-12
-            and np.max(np.abs(back1.h - p.h)) < 1e-10
-            and np.max(np.abs(back2.h - p.h)) < 1e-10
-        ):
-            ok += 1
-    return ok, trials
+def _prop_real_double_cover(rng, i, tol, lam):
+    n = _DIMS[i % len(_DIMS)]
+    p = rand_proj_point(rng, n, REAL, tol)
+    x1, x2 = hopf_fibration.real_fiber(p)
+    back1 = hopf_fibration.hopf_project(x1, tol)
+    back2 = hopf_fibration.hopf_project(x2, tol)
+    return (
+        np.array_equal(x1.x, -x2.x)
+        and abs(np.linalg.norm(x1.x) - 1.0) < 1e-12
+        and np.max(np.abs(back1.h - p.h)) < 1e-10
+        and np.max(np.abs(back2.h - p.h)) < 1e-10
+    )
 
 
-def _prop_circle_fiber(rng, trials, tol, lam):
-    ok = 0
+def _prop_circle_fiber(rng, i, tol, lam):
     m = 16
-    for i in range(trials):
-        n = _DIMS[i % len(_DIMS)]
-        p = rand_proj_point(rng, n, COMPLEX, tol)
-        samples = hopf_fibration.complex_fiber_sample(p, m)
-        good = all(
-            np.max(np.abs(hopf_fibration.hopf_project(x, tol).h - p.h)) < 1e-10
-            for x in samples
-        )
-        t1, t2 = int(rng.integers(0, m)), int(rng.integers(0, m))
-        chord = np.linalg.norm(samples[t1].x - samples[t2].x)
-        expected = 2.0 * abs(np.sin(np.pi * (t1 - t2) / m))
-        ok += good and abs(chord - expected) < 1e-12
-    return ok, trials
+    n = _DIMS[i % len(_DIMS)]
+    p = rand_proj_point(rng, n, COMPLEX, tol)
+    samples = hopf_fibration.complex_fiber_sample(p, m)
+    good = all(
+        np.max(np.abs(hopf_fibration.hopf_project(x, tol).h - p.h)) < 1e-10
+        for x in samples
+    )
+    t1, t2 = int(rng.integers(0, m)), int(rng.integers(0, m))
+    chord = np.linalg.norm(samples[t1].x - samples[t2].x)
+    expected = 2.0 * abs(np.sin(np.pi * (t1 - t2) / m))
+    return good and abs(chord - expected) < 1e-12
 
 
-def _prop_disjointness(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        n = 1 if i % 2 == 0 else 2
-        p, q = rand_distinct_points(rng, n, COMPLEX, tol)
-        sampled = hopf_fibration.fibers_min_distance(p, q, 64, tol)
-        exact = np.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(p.h, q.h))))
-        if sampled > 1e-3 and sampled >= exact - 1e-12:
-            ok += 1
-    return ok, trials
+def _prop_disjointness(rng, i, tol, lam):
+    n = 1 if i % 2 == 0 else 2
+    p, q = rand_distinct_points(rng, n, COMPLEX, tol)
+    sampled = hopf_fibration.fibers_min_distance(p, q, 64, tol)
+    exact = np.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(p.h, q.h))))
+    return sampled > 1e-3 and sampled >= exact - 1e-12
 
 
-def _prop_sphere_chart(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        p = rand_proj_point(rng, 1, COMPLEX, tol)
-        xyz = hopf_fibration.cp1_to_sphere(p, tol)
-        back = hopf_fibration.sphere_to_cp1(xyz, tol)
-        z = hopf_fibration.cp1_affine(p, tol)
-        z_back = hopf_fibration.cp1_affine(
-            hopf_fibration.cp1_from_affine(z, tol), tol
-        )
-        if (
-            abs(np.linalg.norm(xyz) - 1.0) < 1e-10
-            and projective.points_equal(back, p, Tolerance(eps_abs=1e-10, cond_max=tol.cond_max))
-            and hopf_fibration.extended_equal(z, z_back, 1e-10)
-        ):
-            ok += 1
-    return ok, trials
+def _prop_sphere_chart(rng, i, tol, lam):
+    p = rand_proj_point(rng, 1, COMPLEX, tol)
+    xyz = hopf_fibration.cp1_to_sphere(p, tol)
+    back = hopf_fibration.sphere_to_cp1(xyz, tol)
+    z = hopf_fibration.cp1_affine(p, tol)
+    z_back = hopf_fibration.cp1_affine(
+        hopf_fibration.cp1_from_affine(z, tol), tol
+    )
+    return (
+        abs(np.linalg.norm(xyz) - 1.0) < 1e-10
+        and projective.points_equal(back, p, Tolerance(eps_abs=1e-10, cond_max=tol.cond_max))
+        and hopf_fibration.extended_equal(z, z_back, 1e-10)
+    )
 
 
-def _prop_mobius_agreement(rng, trials, tol, lam):
-    ok = 0
-    for i in range(trials):
-        while True:
-            a, b, c, d = (complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
-            if abs(a * d - b * c) > 0.1:
-                break
-        sub = np.random.default_rng(int(rng.integers(0, 2**63)))
-        ok += hopf_fibration.mobius_matches_projective(a, b, c, d, 20, tol, rng=sub)
-    return ok, trials
+def _prop_mobius_agreement(rng, i, tol, lam):
+    while True:
+        a, b, c, d = (complex(rng.standard_normal(), rng.standard_normal()) for _ in range(4))
+        if abs(a * d - b * c) > 0.1:
+            break
+    sub = np.random.default_rng(int(rng.integers(0, 2**63)))
+    return hopf_fibration.mobius_matches_projective(a, b, c, d, 20, tol, rng=sub)
 
 
-def _prop_linking_unit(rng, trials, tol, lam):
-    total = min(trials, 3)
-    ok = 0
-    for _ in range(total):
-        p, q = rand_distinct_points(rng, 1, COMPLEX, tol)
-        raw = hopf_fibration.linking_integral(p, q, 512, tol)
-        if abs(abs(raw) - 1.0) < 0.05 and abs(hopf_fibration.linking_number(p, q, 512, tol)) == 1:
-            ok += 1
-    return ok, total
+def _prop_linking_unit(rng, i, tol, lam):
+    p, q = rand_distinct_points(rng, 1, COMPLEX, tol)
+    raw = hopf_fibration.linking_integral(p, q, 512, tol)
+    return abs(abs(raw) - 1.0) < 0.05 and abs(hopf_fibration.linking_number(p, q, 512, tol)) == 1
 
 
 # --- registry ------------------------------------------------------------
@@ -515,9 +427,11 @@ class PropertyResult(NamedTuple):
     total: int
 
 
-_Prop = Callable[[np.random.Generator, int, Tolerance, complex], tuple[int, int]]
+# one trial: (rng, trial index, tol, lam) -> passed
+_Trial = Callable[[np.random.Generator, int, Tolerance, complex], bool]
 
-SUITES: dict[str, list[tuple[str, _Prop]]] = {
+# An optional third item caps the number of trials of a costly property.
+SUITES: dict[str, list[tuple[str, _Trial] | tuple[str, _Trial, int]]] = {
     "projective": [
         ("scalar_invariance", _prop_scalar_invariance),
         ("functoriality", _prop_functoriality),
@@ -547,7 +461,7 @@ SUITES: dict[str, list[tuple[str, _Prop]]] = {
         ("disjointness", _prop_disjointness),
         ("sphere_chart", _prop_sphere_chart),
         ("mobius_agreement", _prop_mobius_agreement),
-        ("linking_unit", _prop_linking_unit),
+        ("linking_unit", _prop_linking_unit, 3),
     ],
 }
 
@@ -564,18 +478,28 @@ def run_suite(
     """Run one suite (or all of them) and return per-property results.
 
     Fully deterministic for a fixed (name, trials, seed) triple: each
-    suite derives its generator from the seed and its own name.
+    suite derives its generator from the seed and its own name, and its
+    properties draw from it in registry order, trial by trial.  A
+    ProjGeoError raised inside a trial is re-raised as the same type,
+    its message prefixed with the property and the trial index.
     """
     if name == "all":
         results = []
         for sub in SUITES:
             results.extend(run_suite(sub, trials, seed, tol, lam))
         return results
-    props = SUITES[name]
     index = list(SUITES).index(name)
     rng = np.random.default_rng([index, seed])
     results = []
-    for prop_name, prop in props:
-        passed, total = prop(rng, trials, tol, lam)
-        results.append(PropertyResult(f"{name}.{prop_name}", passed, total))
+    for prop_name, trial, *cap in SUITES[name]:
+        label = f"{name}.{prop_name}"
+        total = min([trials, *cap])
+        passed = 0
+        for i in range(total):
+            try:
+                if trial(rng, i, tol, lam):
+                    passed += 1
+            except ProjGeoError as exc:
+                raise type(exc)(f"{label}, trial {i}: {exc}") from exc
+        results.append(PropertyResult(label, passed, total))
     return results

@@ -169,6 +169,17 @@ def test_chart_extract_absent_prints_null(docs):
     res = run_cli("chart", "extract", docs("p.json", p), "--j", "2")
     assert res.returncode == 0
     assert res.stdout.strip() == "null"
+    # chart-1 coordinate 0 is the point [1 : 0], on chart 2's missing locus
+    res2 = run_cli("chart", "transition", docs("w.json", np.array([0.0])),
+                   "--j1", "1", "--j2", "2")
+    assert res2.returncode == 0
+    assert res2.stdout == "null\n"
+    # e2 lies in the complement span(e2, e3) of the base span(e1)
+    base = subspace_from_span(np.eye(3)[:, :1])
+    res3 = run_cli("grassmann", "coords", docs("x.json", subspace_from_span(np.eye(3)[:, 1:2])),
+                   "--base", docs("b.json", base))
+    assert res3.returncode == 0
+    assert res3.stdout == "null\n"
 
 
 def test_grassmann_subcommands(docs):
@@ -243,6 +254,22 @@ def test_check_deterministic_byte_identical():
     b = run_cli("check", "--suite", "all", "--trials", "10", "--seed", "1")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--suite", "hopf-manifold", "--lambda", "1e8"],
+         "hopf-manifold.canonical_window, trial 0: cannot project the zero vector"),
+        (["--suite", "all", "--eps", "1e-3"],
+         "hopf-manifold.trace_invariance, trial 72: cannot project the zero vector"),
+    ],
+)
+def test_check_error_names_property_and_trial(args, message):
+    res = run_cli("check", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"projgeo: {message}\n"
 
 
 def test_check_unknown_suite_exits_2():
