@@ -187,7 +187,9 @@ def fibers_min_distance(
 _POLE_GAP = 1e-3
 _FALLBACK_ANGLES = (0.0, 1.0, 2.0)
 
-_GAUSS_CHUNK = 256
+# Pairs of segments per tile of the Gauss sum: each (rows, m) work array
+# then holds 2**16 doubles (512 KiB), whatever m is.
+_GAUSS_PAIRS = 2 ** 16
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -250,8 +252,17 @@ def linking_integral(
 
     Both fibers are projected stereographically to R^3 and discretized
     into m segments each; the integrand is evaluated with the midpoint
-    rule.  The summation order is fixed, so the result is deterministic
-    for a given m.
+    rule, (a_i x b_j) . (A_i - B_j) / |A_i - B_j|^3 for segment vectors
+    a, b and midpoints A, B.  By the triple-product identity
+    (a x b) . (A - B) = b . (A x a) - a . (b x B) the numerators of a
+    tile of rows i are two (rows x 3)(3 x m) matrix products against
+    u_i = A_i x a_i and w_j = b_j x B_j, computed once in O(m).  The
+    squared distances are summed from the three coordinate differences,
+    never expanded as |A|^2 + |B|^2 - 2 A . B, which cancels for nearby
+    points.  A tile is max(1, 2**16 // m) rows, so its work arrays stay
+    near 512 KiB each whatever m is.  Each tile is summed by numpy and
+    the tile sums, in row order, by ``math.fsum``: the order is fixed,
+    so the result is deterministic for a given m.
     """
     hp, hq = _linked_pair(p, q, m, tol)
 
@@ -262,15 +273,25 @@ def linking_integral(
     b_edge, b_mid = _stereo_fiber(hq, edges), _stereo_fiber(hq, mids)
     a_seg = np.roll(a_edge, -1, axis=0) - a_edge
     b_seg = np.roll(b_edge, -1, axis=0) - b_edge
+    u = np.cross(a_mid, a_seg)
+    w_t = np.cross(b_seg, b_mid).T
 
+    rows = max(1, _GAUSS_PAIRS // m)
     partial: list[float] = []
-    for i0 in range(0, m, _GAUSS_CHUNK):
-        i1 = min(i0 + _GAUSS_CHUNK, m)
-        r = a_mid[i0:i1, None, :] - b_mid[None, :, :]
-        cross = np.cross(a_seg[i0:i1, None, :], b_seg[None, :, :])
-        num = np.einsum("ijk,ijk->ij", cross, r)
-        d2 = np.einsum("ijk,ijk->ij", r, r)
-        partial.append(float(np.sum(num / (d2 * np.sqrt(d2)))))
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        num = u[i0:i1] @ b_seg.T
+        num -= a_seg[i0:i1] @ w_t
+        d2 = np.subtract.outer(a_mid[i0:i1, 0], b_mid[:, 0])
+        d2 *= d2
+        for k in (1, 2):
+            diff = np.subtract.outer(a_mid[i0:i1, k], b_mid[:, k])
+            diff *= diff
+            d2 += diff
+        r3 = np.sqrt(d2)
+        r3 *= d2
+        num /= r3
+        partial.append(float(num.sum()))
     return math.fsum(partial) / (4.0 * math.pi)
 
 

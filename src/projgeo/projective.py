@@ -371,21 +371,27 @@ def transitive_witness(
 ) -> ProjMap:
     """A projective map sending ``p`` to ``q``.
 
-    Completes each representative to an orthonormal basis (the
-    representative first) and returns the class of U_q U_p^H, a unitary
-    and hence perfectly conditioned witness.
+    Completes each representative to a unitary matrix whose first column
+    it is, and returns the class of U_q U_p^H, a unitary and hence
+    perfectly conditioned witness.
     """
     _same_space(p, q)
-    up = _complete_to_unitary(p.h, tol)
-    uq = _complete_to_unitary(q.h, tol)
+    up = _complete_to_unitary(p.h)
+    uq = _complete_to_unitary(q.h)
     return _map_class(uq @ up.conj().T, tol)
 
 
-def _complete_to_unitary(h: np.ndarray, tol: Tolerance) -> np.ndarray:
-    dim = h.shape[0]
-    q = numerics.orthonormalize(
-        np.column_stack([h, np.eye(dim, dtype=h.dtype)]), tol
-    )
-    if q.shape[1] != dim:
-        raise IllConditioned("orthonormal completion dropped rank")
-    return q
+def _complete_to_unitary(h: np.ndarray) -> np.ndarray:
+    """A unitary matrix with the unit vector ``h`` as its first column.
+
+    With phi the phase of h_0 (1 when h_0 = 0), the Householder reflection
+    along v = conj(phi) h + e_1 maps e_1 to -conj(phi) h, and rescaling
+    its first column by -phi gives h.  Since v^H v = 2 + 2 |h_0| >= 2 the
+    reflection is well defined for every h, in closed form.
+    """
+    phase = h[0] / abs(h[0]) if h[0] != 0 else 1.0
+    v = np.conj(phase) * h
+    v[0] += 1.0
+    u = np.eye(h.shape[0], dtype=h.dtype) - np.outer(v, v.conj()) * (2.0 / np.vdot(v, v).real)
+    u[:, 0] = h
+    return u

@@ -7,6 +7,7 @@ them as a (passed, total) pair.  The sampling helpers at the top double
 as reusable generators for the pytest suite.
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -266,6 +267,26 @@ def _hopf_fields(group: hopf_manifold.ScaleGroup) -> tuple[str, ...]:
     return (REAL, COMPLEX) if group.is_real else (COMPLEX,)
 
 
+# A vector scaled by a power of |lam| must keep its norm inside
+# (2 eps, _NORM_CAP): no check may treat it as zero, and its squared norm
+# must not overflow.
+_NORM_CAP = 1e150
+
+
+def _clear_powers(v, a: float, tol: Tolerance, lowest: int, count: int) -> tuple[int, int]:
+    """Bounds (lo, hi) of the powers k by which a property scales ``v``.
+
+    The run is ``count`` powers long, from ``lowest`` or from the first
+    power above it at which |v| a^k exceeds 2 eps, and it stops before
+    |v| a^k reaches _NORM_CAP.  At the default eps and lam it is
+    (lowest, lowest + count - 1), so the seeded draws stay the same.
+    """
+    nrm, log_a = float(np.linalg.norm(v)), math.log(a)
+    lo = max(lowest, math.floor(math.log(2.0 * tol.eps_abs / nrm) / log_a) + 1)
+    hi = min(lo + count - 1, math.ceil(math.log(_NORM_CAP / nrm) / log_a) - 1)
+    return lo, hi
+
+
 def _prop_canonical_window(rng, i, tol, lam):
     group = hopf_manifold.ScaleGroup(lam)
     fields = _hopf_fields(group)
@@ -273,7 +294,8 @@ def _prop_canonical_window(rng, i, tol, lam):
     field = fields[i % len(fields)]
     n = _DIMS[(i // len(fields)) % len(_DIMS)]
     v = rand_nonzero_vector(rng, n, field)
-    v = v * (a ** rng.integers(-6, 7))  # spread norms across many windows
+    lo, hi = _clear_powers(v, a, tol, -6, 13)
+    v = v * (a ** rng.integers(lo, hi + 1))  # spread norms across many windows
     h = hopf_manifold.quotient_project(v, group, tol)
     nrm = np.linalg.norm(h.rep)
     again = hopf_manifold.quotient_project(h.rep, group, tol)
@@ -289,7 +311,8 @@ def _prop_class_equality(rng, i, tol, lam):
     field = fields[i % len(fields)]
     n = _DIMS[(i // len(fields)) % len(_DIMS)]
     v = rand_nonzero_vector(rng, n, field)
-    m = int(rng.integers(-8, 9))
+    lo, hi = _clear_powers(v, group.abs_scale, tol, -8, 17)
+    m = int(rng.integers(lo, hi + 1))
     w = v * group.power(m, field)
     same = hopf_manifold.hopf_points_equal(v, w, group, tol)
     other = hopf_manifold.hopf_points_equal(v, v + rand_nonzero_vector(rng, n, field), group, tol)
@@ -303,7 +326,8 @@ def _prop_projection_factorizes(rng, i, tol, lam):
     field = fields[i % len(fields)]
     n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
     v = rand_nonzero_vector(rng, n, field)
-    m = int(rng.integers(-6, 7))
+    lo, hi = _clear_powers(v, group.abs_scale, tol, -6, 13)
+    m = int(rng.integers(lo, hi + 1))
     w = v * group.power(m, field)
     pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group, tol), tol)
     pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group, tol), tol)
@@ -339,10 +363,13 @@ def _prop_trace_invariance(rng, i, tol, lam):
     s = rand_subspace(rng, n, k, field, tol)
     inside = s.basis @ rand_nonzero_vector(rng, k, field)
     outside = rand_nonzero_vector(rng, n, field)
+    a = group.abs_scale
+    lo, hi = _clear_powers(inside, a, tol, -5, 11)
     votes = []
-    for m in range(-5, 6):
+    for m in range(lo, hi + 1):
         hv = hopf_manifold.quotient_project(inside * group.power(m, field), group, tol)
         votes.append(hopf_manifold.subspace_trace_membership(hv, s, tol))
+    outside = outside * a ** _clear_powers(outside, a, tol, 0, 1)[0]
     h_out = hopf_manifold.quotient_project(outside, group, tol)
     generic_out = hopf_manifold.subspace_trace_membership(h_out, s, tol)
     return all(votes) and not generic_out

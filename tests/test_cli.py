@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from projgeo import cli, suites
+from projgeo.errors import ZeroVector
 from projgeo.jsonio import dumps, encode
 from projgeo import map_from_matrix, point_from_vector, quotient_project, subspace_from_span
 
@@ -257,19 +260,31 @@ def test_check_deterministic_byte_identical():
 
 
 @pytest.mark.parametrize(
-    "args,message",
-    [
-        (["--suite", "hopf-manifold", "--lambda", "1e8"],
-         "hopf-manifold.canonical_window, trial 0: cannot project the zero vector"),
-        (["--suite", "all", "--eps", "1e-3"],
-         "hopf-manifold.trace_invariance, trial 72: cannot project the zero vector"),
-    ],
+    "args",
+    [["--suite", "hopf-manifold", "--lambda", "1e8"], ["--suite", "all", "--eps", "1e-3"]],
+    ids=["lambda-1e8", "eps-1e-3"],
 )
-def test_check_error_names_property_and_trial(args, message):
+def test_check_draws_clear_of_eps_and_lambda(args):
+    # scaled draws used to fall below eps here and abort with ZeroVector
     res = run_cli("check", *args)
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr == f"projgeo: {message}\n"
+    assert res.returncode in (0, 1)
+    assert res.stderr == ""
+    lines = res.stdout.splitlines()
+    assert lines[-1] == ("overall: PASS" if res.returncode == 0 else "overall: FAIL")
+    assert all(re.fullmatch(r"[a-z-]+\.[a-z_]+: \d+/\d+ (PASS|FAIL)", line) for line in lines[:-1])
+
+
+def test_check_error_names_property_and_trial(monkeypatch, capsys):
+    def trial(rng, i, tol, lam):
+        if i == 2:
+            raise ZeroVector("cannot project the zero vector")
+        return True
+
+    monkeypatch.setitem(suites.SUITES, "fibration", [("probe", trial)])
+    assert cli.main(["check", "--suite", "fibration", "--trials", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "projgeo: fibration.probe, trial 2: cannot project the zero vector\n"
 
 
 def test_check_unknown_suite_exits_2():

@@ -26,6 +26,7 @@ from projgeo import (
     point_membership,
     points_equal,
     proj_subspace_from_span,
+    projective,
     subspace_image,
     transitive_witness,
 )
@@ -343,6 +344,24 @@ def test_transitive_witness_random_cp3():
         p, q = rand_distinct_points(rng, 3, "complex")
         t = transitive_witness(p, q)
         assert np.max(np.abs(apply_map(t, p).h - q.h)) < 1e-9
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("first_zero", [False, True])
+def test_unitary_completion_and_witness(field, d, first_zero):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        v = rand_nonzero_vector(rng, d, field)
+        if first_zero:
+            v[0] = 0.0
+        h = point_from_vector(v).h
+        u = projective._complete_to_unitary(h)
+        assert u.dtype == h.dtype
+        assert np.array_equal(u[:, 0], h)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+        p, q = point_from_vector(v), rand_proj_point(rng, d - 1, field)
+        assert points_equal(apply_map(transitive_witness(p, q), p), q)
 
 
 def test_custom_tolerance_threads_through():
