@@ -11,6 +11,7 @@ from projgeo.errors import (
     FieldMismatch,
     IllConditioned,
     InvalidRange,
+    NotCanonical,
     NotSquare,
     ProjGeoError,
     RankDeficientToZero,
@@ -74,6 +75,7 @@ from projgeo.numerics import (
     in_span,
     invert,
     kernel,
+    norm2,
     orthonormalize,
     projector_distance,
     require_conditioned,

@@ -21,6 +21,10 @@ class ZeroVector(ProjGeoError):
     """A nonzero vector was required."""
 
 
+class NotCanonical(ProjGeoError, ValueError):
+    """A representative projgeo computed failed its canonical-form check."""
+
+
 class DimensionMismatch(ProjGeoError):
     """Operands live in different dimensions."""
 

@@ -32,7 +32,7 @@ from projgeo.numerics import (
     dtype_for,
     field_of,
 )
-from projgeo.projective import ProjPoint, point_from_vector
+from projgeo.projective import ProjPoint, _point_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,9 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.basis, dtype=dtype_for(self.field))
+        self._hold(np.array(self.basis, dtype=dtype_for(self.field)))
+
+    def _hold(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.shape != (self.n, self.k):
             raise DimensionMismatch(
                 f"expected a {self.n}x{self.k} basis, got shape {arr.shape}"
@@ -53,10 +55,22 @@ class Subspace:
         if not 1 <= self.k < self.n:
             raise InvalidRange("subspace dimension must satisfy 1 <= k < n")
         gram = arr.conj().T @ arr
-        if np.max(np.abs(gram - np.eye(self.k))) > 1e-10:
+        if np.abs(gram - np.eye(self.k)).max() > 1e-10:
             raise ValueError("basis columns must be orthonormal")
         arr.setflags(write=False)
         object.__setattr__(self, "basis", arr)
+
+
+def _subspace(field: str, n: int, k: int, q: np.ndarray) -> Subspace:
+    """The Subspace of a basis that orthonormalize or kernel has just made:
+    every check of the constructor, but the array is held, not copied, so
+    it keeps its memory layout."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "field", field)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "k", k)
+    s._hold(q)
+    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +102,7 @@ def subspace_from_span(
     """Subspace spanned by the columns of ``columns``."""
     mat = as_matrix(columns, field)
     q = numerics.orthonormalize(mat, tol)
-    return Subspace(field_of(q), mat.shape[0], q.shape[1], q)
+    return _subspace(field_of(q), mat.shape[0], q.shape[1], q)
 
 
 def subspaces_equal(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -145,7 +159,7 @@ def graph_subspace(
     q = numerics.orthonormalize(base.basis + comp.basis @ a, tol)
     if q.shape[1] != base.k:
         raise IllConditioned("graph construction dropped rank numerically")
-    return Subspace(base.field, base.n, base.k, q)
+    return _subspace(base.field, base.n, base.k, q)
 
 
 def chart_coords(
@@ -189,7 +203,7 @@ def apply_gl(g, s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     q = numerics.orthonormalize(gm @ s.basis, tol)
     if q.shape[1] != s.k:
         raise IllConditioned("image dropped rank numerically")
-    return Subspace(s.field, s.n, s.k, q)
+    return _subspace(s.field, s.n, s.k, q)
 
 
 def transitive_witness_gr(l1: Subspace, l2: Subspace) -> np.ndarray:
@@ -206,8 +220,7 @@ def transitive_witness_gr(l1: Subspace, l2: Subspace) -> np.ndarray:
 
 def orthogonal_complement(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """Hermitian orthogonal complement, a subspace of dimension n-k."""
-    q = numerics.kernel(s.basis.conj().T, tol)
-    return Subspace(s.field, s.n, s.n - s.k, q)
+    return _subspace(s.field, s.n, s.n - s.k, numerics.kernel(s.basis.conj().T, tol))
 
 
 def annihilator(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
@@ -218,15 +231,14 @@ def annihilator(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     Over R it coincides with the orthogonal complement; over C the two
     constructions generally differ.
     """
-    q = numerics.kernel(s.basis.T, tol)
-    return Subspace(s.field, s.n, s.n - s.k, q)
+    return _subspace(s.field, s.n, s.n - s.k, numerics.kernel(s.basis.T, tol))
 
 
 def to_projective_point(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     """The point of P^{n-1} carried by a line (k = 1 subspace)."""
     if s.k != 1:
         raise InvalidRange("only 1-dimensional subspaces are projective points")
-    return point_from_vector(s.basis[:, 0], tol)
+    return _point_of(s.basis[:, 0], tol)
 
 
 def from_projective_point(p: ProjPoint) -> Subspace:

@@ -38,14 +38,18 @@ from projgeo.numerics import (
     as_vector,
     dtype_for,
     field_of,
+    norm2,
 )
 from projgeo.projective import (
     ProjPoint,
+    _point_of,
     apply_map,
     map_from_matrix,
-    point_from_vector,
     points_equal,
 )
+
+
+_NORMAL_MIN = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +66,7 @@ class SpherePoint:
             raise DimensionMismatch(
                 f"expected {self.n_amb} coordinates, got shape {arr.shape}"
             )
-        if abs(np.linalg.norm(arr) - 1.0) > 1e-12:
+        if abs(norm2(arr) - 1.0) > 1e-12:
             raise ValueError("sphere points must have unit norm")
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
@@ -73,9 +77,11 @@ def sphere_point(
 ) -> SpherePoint:
     """Normalize a nonzero vector onto the unit sphere."""
     vec = as_vector(v, field)
-    nrm = float(np.linalg.norm(vec))
+    nrm = norm2(vec)
     if nrm <= tol.eps_abs:
         raise ZeroVector("cannot normalize the zero vector")
+    if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
+        return sphere_point(vec * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), tol)
     u = vec / nrm
     return SpherePoint(field_of(u), u.shape[0], u)
 
@@ -121,7 +127,7 @@ def extended_equal(a, b, eps: float = DEFAULT_TOLERANCE.eps_abs) -> bool:
 
 def hopf_project(x: SpherePoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     """The point of projective space on the line through a sphere point."""
-    return point_from_vector(x.x, tol)
+    return _point_of(x.x, tol)
 
 
 def real_fiber(p: ProjPoint) -> tuple[SpherePoint, SpherePoint]:
@@ -295,6 +301,20 @@ def linking_integral(
     return math.fsum(partial) / (4.0 * math.pi)
 
 
+def _diameter_ends(h: np.ndarray, *half_turns: float) -> np.ndarray:
+    """R^3 images of the fiber points the given numbers of half turns after
+    the one nearest the pole (0, -i), one row each."""
+    # e^{i t} h is nearest the pole when i e^{i t} h2 is real and positive
+    nearest = -cmath.phase(h[1]) - 0.5 * math.pi
+    return _stereo_fiber(h, nearest + np.array(half_turns) * math.pi)
+
+
+def _stereo_radius(h: np.ndarray) -> float:
+    """Radius of the R^3 circle a fiber projects to (see :func:`_stereo_circle`)."""
+    near, far = _diameter_ends(h, 0.0, 1.0)
+    return 0.5 * norm2(near - far)
+
+
 def _stereo_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Centre, unit normal and radius of the R^3 circle a fiber projects to.
 
@@ -306,13 +326,13 @@ def _stereo_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     taking the three in order of increasing theta makes the normal follow
     the fiber's direction of travel by the right-hand rule.
     """
-    # e^{i t} h is nearest the pole (0, -i) when i e^{i t} h2 is real and positive
-    nearest = -cmath.phase(h[1]) - 0.5 * math.pi
-    thetas = nearest + np.array([0.0, 0.5, 1.0]) * math.pi
-    near, quarter, far = _stereo_fiber(h, thetas)
+    near, quarter, far = _diameter_ends(h, 0.0, 0.5, 1.0)
     centre = 0.5 * (near + far)
-    normal = np.cross(near - centre, quarter - centre)
-    return centre, normal / np.linalg.norm(normal), 0.5 * float(np.linalg.norm(near - far))
+    # the cross product (near - centre) x (quarter - centre), written out:
+    # np.cross costs far more than this on a single pair of 3-vectors
+    (a0, a1, a2), (b0, b1, b2) = (near - centre).tolist(), (quarter - centre).tolist()
+    normal = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return centre, normal / norm2(normal), 0.5 * norm2(near - far)
 
 
 def _fiber_separation(hp: np.ndarray, hq: np.ndarray) -> float:
@@ -350,7 +370,7 @@ def linking_number(
     centre, normal, radius = _stereo_circle(hp)
     sep = _fiber_separation(hp, hq)
     # 4 r (1 - cos(pi / m)), written as 8 r sin^2(pi / 2m) to keep its digits
-    bound = 8.0 * max(radius, _stereo_circle(hq)[2]) * math.sin(0.5 * math.pi / m) ** 2
+    bound = 8.0 * max(radius, _stereo_radius(hq)) * math.sin(0.5 * math.pi / m) ** 2
     if sep / 2.0 <= bound:
         raise Unresolved(
             f"fibers {sep:.3g} apart are too close for {m} samples: "
@@ -386,13 +406,12 @@ def cp1_from_affine(z, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     """CP^1 point with affine coordinate ``z``; inf maps to [1 : 0]."""
     ez = as_extended(z)
     if ez.is_infinity:
-        return point_from_vector(np.array([1.0, 0.0]), tol, field=COMPLEX)
-    val = ez.z
-    if abs(val) <= 1.0:
-        vec = np.array([val, 1.0], dtype=np.complex128)
+        vec = np.array([1.0, 0.0], dtype=np.complex128)
+    elif abs(ez.z) <= 1.0:
+        vec = np.array([ez.z, 1.0], dtype=np.complex128)
     else:  # the same line, scaled to stay well-conditioned for huge |z|
-        vec = np.array([1.0, 1.0 / val], dtype=np.complex128)
-    return point_from_vector(vec, tol)
+        vec = np.array([1.0, 1.0 / ez.z], dtype=np.complex128)
+    return _point_of(vec, tol)
 
 
 def cp1_to_sphere(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -419,7 +438,7 @@ def sphere_to_cp1(xyz, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     v = as_vector(xyz, REAL)
     if v.shape[0] != 3:
         raise DimensionMismatch(f"expected 3 coordinates, got {v.shape[0]}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+    if abs(norm2(v) - 1.0) > 1e-6:
         raise ValueError("expected a unit vector of R^3")
     if 1.0 - v[2] <= tol.eps_abs:
         return cp1_from_affine(INFINITY, tol)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from projgeo.errors import DimensionMismatch, FieldMismatch, ZeroVector
+from projgeo.errors import DimensionMismatch, FieldMismatch, NotCanonical, ZeroVector
 from projgeo.numerics import (
     COMPLEX,
     DEFAULT_TOLERANCE,
@@ -30,13 +30,18 @@ from projgeo.numerics import (
     as_vector,
     field_of,
     in_span,
+    norm2,
     require_conditioned,
 )
-from projgeo.projective import ProjPoint, point_from_vector
+from projgeo.projective import ProjPoint, _point_of
 
 # Norms within this relative slack of the window's upper edge |lam| are
 # treated as sitting on the boundary and snapped to the lower edge 1.
 _EDGE_SLACK = 1e-12
+
+# A power lam^m with |m| log|lam| beyond this is applied in two halves, so
+# that neither factor leaves the range of doubles.
+_ONE_STEP_LOG = 600.0
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,7 @@ class HopfPoint:
         arr = np.array(self.rep)
         if arr.ndim != 1:
             raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
-        nrm = float(np.linalg.norm(arr))
-        if not (1.0 - 1e-9 <= nrm < self.group.abs_scale * (1.0 + 1e-9)):
+        if not _in_window(norm2(arr), self.group):
             raise ValueError("representative norm must lie in [1, |lam|)")
         arr.setflags(write=False)
         object.__setattr__(self, "rep", arr)
@@ -108,25 +112,57 @@ def quotient_project(
     roundoff resolve toward the lower endpoint.  Projecting a
     representative again returns it bit for bit.
     """
-    vec = as_vector(v, field)
-    if field_of(vec) == REAL and not group.is_real:
+    return _project(as_vector(v, field), group, tol)
+
+
+def _in_window(nrm: float, group: ScaleGroup) -> bool:
+    return 1.0 - 1e-9 <= nrm < group.abs_scale * (1.0 + 1e-9)
+
+
+def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
+    """:func:`quotient_project` of a finite float64 or complex128 vector.
+
+    The representative is checked here, once, against the window of the
+    HopfPoint constructor, and held without a copy.
+    """
+    lam = group.lam
+    if vec.dtype.kind != "c" and not group.is_real:
         raise FieldMismatch("a complex scale does not act on real vectors")
-    nrm = float(np.linalg.norm(vec))
+    nrm = norm2(vec)
     if nrm <= tol.eps_abs:
         raise ZeroVector("cannot project the zero vector")
-    a = group.abs_scale
-    m = math.floor(math.log(nrm) / math.log(a))
-    rep = _scaled(vec, group, -m)
-    if float(np.linalg.norm(rep)) >= a * (1.0 - _EDGE_SLACK):
+    if nrm < math.inf:
+        log_nrm = math.log(nrm)
+    else:  # the norm passes the largest double; take its log from a scaled copy
+        log_nrm = math.log(norm2(vec * 2.0 ** -64)) + 64.0 * math.log(2.0)
+    a = abs(lam)
+    log_a = math.log(a)
+    m = math.floor(log_nrm / log_a)
+    rep = _scaled(vec, lam, -m, log_a)
+    rep_nrm = norm2(rep)
+    if rep_nrm >= a * (1.0 - _EDGE_SLACK):
         m += 1
-        rep = _scaled(vec, group, -m)
-    return HopfPoint(group, rep)
+        rep = _scaled(vec, lam, -m, log_a)
+        rep_nrm = norm2(rep)
+    if not _in_window(rep_nrm, group):
+        raise NotCanonical(
+            f"representative norm {rep_nrm:.17g} outside the window [1, {a:.17g})"
+        )
+    rep.setflags(write=False)
+    point = object.__new__(HopfPoint)
+    object.__setattr__(point, "group", group)
+    object.__setattr__(point, "rep", rep)
+    return point
 
 
-def _scaled(vec: np.ndarray, group: ScaleGroup, m: int) -> np.ndarray:
+def _scaled(vec: np.ndarray, lam, m: int, log_a: float) -> np.ndarray:
+    """vec times lam^m, as a new array; log_a is log |lam|."""
     if m == 0:
         return vec.copy()
-    return vec * group.power(m, field_of(vec))
+    if abs(m) * log_a <= _ONE_STEP_LOG:
+        return vec * lam ** m
+    half = m // 2
+    return vec * lam ** (m - half) * lam ** half
 
 
 def hopf_points_equal(
@@ -148,8 +184,8 @@ def hopf_points_equal(
         common = COMPLEX
         vv = as_vector(vv, common)
         wv = as_vector(wv, common)
-    ra = quotient_project(vv, group, tol).rep
-    rb = quotient_project(wv, group, tol).rep
+    ra = _project(vv, group, tol).rep
+    rb = _project(wv, group, tol).rep
     return bool(np.max(np.abs(ra - rb)) < tol.eps_abs)
 
 
@@ -159,7 +195,7 @@ def to_projective(point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjP
     Constant on classes: scaling by lam^m does not move the line, so the
     quotient projection factors through this map.
     """
-    return point_from_vector(point.rep, tol)
+    return _point_of(point.rep, tol)
 
 
 def induced_linear(
@@ -174,7 +210,7 @@ def induced_linear(
     if gm.shape != (point.n, point.n):
         raise DimensionMismatch(f"expected a {point.n}x{point.n} matrix, got {gm.shape}")
     require_conditioned(gm, tol)
-    return quotient_project(gm @ point.rep, point.group, tol)
+    return _project(gm @ point.rep, point.group, tol)
 
 
 def subspace_trace_membership(point: HopfPoint, s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

@@ -7,6 +7,7 @@ these primitives.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,10 @@ class Tolerance:
     cond_max: float = 1e12
 
     def __post_init__(self):
-        if not self.eps_abs > 0.0:
-            raise ValueError("eps_abs must be positive")
-        if not self.cond_max > 1.0:
-            raise ValueError("cond_max must be greater than 1")
+        if not 0.0 < self.eps_abs < math.inf:
+            raise ValueError(f"eps_abs must be positive and finite, got {self.eps_abs!r}")
+        if not 1.0 < self.cond_max < math.inf:
+            raise ValueError(f"cond_max must be greater than 1 and finite, got {self.cond_max!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -61,13 +62,51 @@ def field_of(a: np.ndarray) -> str:
     return COMPLEX if np.iscomplexobj(a) else REAL
 
 
+# Below this a sum of squares may have lost digits to underflow: each square
+# under the smallest normal double is off by up to half a subnormal ulp.
+_SUMSQ_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+# norm2 tries the unscaled sum of squares first and rescales when it
+# overflows, so numpy's overflow warnings from this module are expected;
+# np.errstate around every sum would cost more than the sum itself.
+warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning, __name__)
+
+
+def norm2(x) -> float:
+    """Euclidean norm of a vector, or Frobenius norm of a matrix, at any scale.
+
+    While the sum of squares is finite and clear of underflow this does
+    exactly the float operations of ``np.linalg.norm(x)``: ravel in
+    memory order, ``x . x`` (``re . re + im . im`` over C), square root.
+    Otherwise the entries are first divided by their largest real or
+    imaginary part, in the manner of the BLAS ``nrm2`` (Blue, ACM TOMS 4,
+    1978; Anderson, ACM TOMS 44, 2017), so the result is inf only when
+    the norm itself passes the largest double.
+    """
+    flat = np.asarray(x).ravel(order="K")
+    if flat.dtype.kind == "c":
+        re, im = flat.real, flat.imag
+        ssq = re.dot(re) + im.dot(im)
+    else:
+        if flat.dtype.kind != "f":
+            flat = flat.astype(np.float64)
+        ssq = flat.dot(flat)
+    if _SUMSQ_MIN <= ssq < math.inf:
+        return math.sqrt(ssq)
+    parts = flat.view(flat.real.dtype)  # real and imaginary parts interleaved over C
+    top = float(np.abs(parts).max(initial=0.0))
+    if not 0.0 < top < math.inf:  # zero, or an inf or nan entry
+        return top
+    return top * norm2(flat / top)
+
+
 def _coerce(arr: np.ndarray, field: str | None) -> np.ndarray:
     if field is None:
         field = field_of(arr)
     elif field == REAL and np.iscomplexobj(arr):
         raise FieldMismatch("complex entries cannot be coerced to the real field")
     out = np.asarray(arr, dtype=dtype_for(field))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("entries must be finite")
     return out
 
@@ -127,9 +166,17 @@ def orthonormalize(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[1] == 0:
         raise RankDeficientToZero("matrix has no columns")
-    scale = float(np.linalg.norm(a, axis=0).max())
+    # the largest column norm: the same float operations as
+    # np.linalg.norm(a, axis=0).max() while its square is in range
+    top = float(np.add.reduce((a.conj() * a).real, axis=0).max())
+    if _SUMSQ_MIN <= top < math.inf:
+        scale = math.sqrt(top)
+    else:
+        scale = max(norm2(a[:, j]) for j in range(a.shape[1]))
     if scale <= tol.eps_abs:
         raise RankDeficientToZero("all columns are numerically zero")
+    if scale == math.inf:  # a column norm past the largest double; the span is the same
+        return orthonormalize(a * 2.0 ** -64, tol)
     cutoff = tol.eps_abs * scale
     basis: list[np.ndarray] = []
     for j in range(a.shape[1]):
@@ -137,7 +184,7 @@ def orthonormalize(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
         for _ in range(2):  # second pass keeps Q^H Q = I near machine eps
             for q in basis:
                 v = v - q * (q.conj() @ v)
-        nv = float(np.linalg.norm(v))
+        nv = norm2(v)
         if nv > cutoff:
             basis.append(v / nv)
     return np.column_stack(basis)
@@ -163,11 +210,11 @@ def projector_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     orthonormal basis matrices (the basis-independent comparison)."""
     p1 = b1 @ b1.conj().T
     p2 = b2 @ b2.conj().T
-    return float(np.linalg.norm(p1 - p2))
+    return norm2(p1 - p2)
 
 
 def in_span(x: np.ndarray, basis: np.ndarray, tol: Tolerance) -> bool:
     """Whether ``x`` lies in the span of the orthonormal columns of
     ``basis``: its residual after projection is under ``tol.eps_abs``."""
     residual = x - basis @ (basis.conj().T @ x)
-    return bool(np.linalg.norm(residual) < tol.eps_abs)
+    return norm2(residual) < tol.eps_abs

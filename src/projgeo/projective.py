@@ -27,9 +27,11 @@ from projgeo.errors import (
     FieldMismatch,
     IllConditioned,
     InvalidRange,
+    NotCanonical,
     ZeroVector,
 )
 from projgeo.numerics import (
+    COMPLEX,
     DEFAULT_TOLERANCE,
     REAL,
     Tolerance,
@@ -40,23 +42,53 @@ from projgeo.numerics import (
 )
 
 
+_NORMAL_MIN = np.finfo(np.float64).tiny
+
+
 def _pivot_index(values: np.ndarray, eps: float) -> int:
     """Index of the largest-modulus entry, smallest index on near-ties."""
     mods = np.abs(values)
-    return int(np.argmax(mods >= mods.max() - eps))
+    return int((mods >= mods[mods.argmax()] - eps).argmax())
 
 
 def _canonical(values: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The unit multiple of a nonzero array, flattened row-major, whose
-    pivot entry is real and positive."""
-    nrm = float(np.linalg.norm(values))
+    pivot entry is real and positive.
+
+    This is the one check of a representative that projgeo makes itself:
+    the result is tested here, at the pivot just chosen, against the
+    bounds of the ProjPoint and ProjMap constructors.
+    """
+    nrm = numerics.norm2(values)
     if nrm <= tol.eps_abs:
         raise ZeroVector("cannot projectivize the zero vector")
+    if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
+        return _canonical(values * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), tol)
     u = (values / nrm).ravel()
-    a = u[_pivot_index(u, tol.eps_abs)]
-    if np.iscomplexobj(u):
-        return u * (abs(a) / a)
-    return u if a > 0 else -u
+    k = _pivot_index(u, tol.eps_abs)
+    a = u[k]
+    if u.dtype.kind == "c":
+        r = u * (abs(a) / a)
+    else:
+        r = u if a > 0 else -u
+    deviation, top = abs(math.sqrt(np.vdot(r, r).real) - 1.0), r[k]
+    if deviation > 1e-12 or not (top.real > 0.0 and abs(top.imag) <= 1e-12):
+        raise NotCanonical(
+            f"representative off canonical form: |norm - 1| = {deviation:.3g}, "
+            f"pivot {complex(top):.3g} at index {k} (bounds 1e-12)"
+        )
+    return r
+
+
+def _trusted(cls, arr: np.ndarray, n: int, name: str):
+    """A ProjPoint or ProjMap around a representative that :func:`_canonical`
+    has just made and checked: set read-only, neither copied nor checked again."""
+    arr.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "field", COMPLEX if arr.dtype.kind == "c" else REAL)
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, name, arr)
+    return obj
 
 
 def _frozen_canonical(values, field: str, shape: tuple, expected: str) -> np.ndarray:
@@ -186,8 +218,14 @@ def point_from_vector(
     All nonzero scalar multiples of ``v`` produce the same canonical
     coordinates (up to roundoff well under 1e-12).
     """
-    u = _canonical(as_vector(v, field), tol)
-    return ProjPoint(field_of(u), u.shape[0] - 1, u)
+    return _point_of(as_vector(v, field), tol)
+
+
+def _point_of(v: np.ndarray, tol: Tolerance) -> ProjPoint:
+    """Point on the line of a finite float64 or complex128 vector that
+    projgeo made itself, so needs no coercion."""
+    h = _canonical(v, tol)
+    return _trusted(ProjPoint, h, h.shape[0] - 1, "h")
 
 
 def points_equal(p: ProjPoint, q: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -225,7 +263,7 @@ def map_from_matrix(
 def _map_class(a: np.ndarray, tol: Tolerance) -> ProjMap:
     """Class of a square matrix, unguarded: for inverses of guarded matrices
     (cond(A^-1) = cond(A)) and for unitaries built here."""
-    return ProjMap(field_of(a), a.shape[0] - 1, _canonical(a, tol).reshape(a.shape))
+    return _trusted(ProjMap, _canonical(a, tol).reshape(a.shape), a.shape[0] - 1, "M")
 
 
 def maps_equal(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -237,13 +275,15 @@ def maps_equal(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> 
 def apply_map(t: ProjMap, p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     """Image of a point under a projective map."""
     _same_space(t, p)
-    return point_from_vector(t.M @ p.h, tol)
+    return _point_of(t.M @ p.h, tol)
 
 
 def compose(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """Composite map: apply ``t2`` first, then ``t1``."""
     _same_space(t1, t2)
-    return map_from_matrix(t1.M @ t2.M, tol)
+    a = t1.M @ t2.M
+    numerics.require_conditioned(a, tol)
+    return _map_class(a, tol)
 
 
 def inverse_map(t: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
@@ -281,8 +321,7 @@ def chart_embed(
     wv = as_vector(w, field)
     if wv.shape[0] != c.n:
         raise DimensionMismatch(f"chart expects {c.n} affine coordinates")
-    v = np.insert(wv, c.j - 1, 1.0)
-    return point_from_vector(v, tol)
+    return _point_of(np.concatenate((wv[: c.j - 1], [1.0], wv[c.j - 1 :])), tol)
 
 
 def chart_extract(

@@ -33,7 +33,7 @@ def rand_vector(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
 def rand_nonzero_vector(rng, dim, field, floor: float = 1e-3) -> np.ndarray:
     while True:
         v = rand_vector(rng, dim, field)
-        if np.linalg.norm(v) > floor:
+        if numerics.norm2(v) > floor:
             return v
 
 
@@ -281,7 +281,7 @@ def _clear_powers(v, a: float, tol: Tolerance, lowest: int, count: int) -> tuple
     |v| a^k reaches _NORM_CAP.  At the default eps and lam it is
     (lowest, lowest + count - 1), so the seeded draws stay the same.
     """
-    nrm, log_a = float(np.linalg.norm(v)), math.log(a)
+    nrm, log_a = numerics.norm2(v), math.log(a)
     lo = max(lowest, math.floor(math.log(2.0 * tol.eps_abs / nrm) / log_a) + 1)
     hi = min(lo + count - 1, math.ceil(math.log(_NORM_CAP / nrm) / log_a) - 1)
     return lo, hi
@@ -297,7 +297,7 @@ def _prop_canonical_window(rng, i, tol, lam):
     lo, hi = _clear_powers(v, a, tol, -6, 13)
     v = v * (a ** rng.integers(lo, hi + 1))  # spread norms across many windows
     h = hopf_manifold.quotient_project(v, group, tol)
-    nrm = np.linalg.norm(h.rep)
+    nrm = numerics.norm2(h.rep)
     again = hopf_manifold.quotient_project(h.rep, group, tol)
     return (
         1.0 - 1e-12 <= nrm < a * (1.0 - 1e-12)
@@ -386,7 +386,7 @@ def _prop_real_double_cover(rng, i, tol, lam):
     back2 = hopf_fibration.hopf_project(x2, tol)
     return (
         np.array_equal(x1.x, -x2.x)
-        and abs(np.linalg.norm(x1.x) - 1.0) < 1e-12
+        and abs(numerics.norm2(x1.x) - 1.0) < 1e-12
         and np.max(np.abs(back1.h - p.h)) < 1e-10
         and np.max(np.abs(back2.h - p.h)) < 1e-10
     )
@@ -402,7 +402,7 @@ def _prop_circle_fiber(rng, i, tol, lam):
         for x in samples
     )
     t1, t2 = int(rng.integers(0, m)), int(rng.integers(0, m))
-    chord = np.linalg.norm(samples[t1].x - samples[t2].x)
+    chord = numerics.norm2(samples[t1].x - samples[t2].x)
     expected = 2.0 * abs(np.sin(np.pi * (t1 - t2) / m))
     return good and abs(chord - expected) < 1e-12
 
@@ -424,7 +424,7 @@ def _prop_sphere_chart(rng, i, tol, lam):
         hopf_fibration.cp1_from_affine(z, tol), tol
     )
     return (
-        abs(np.linalg.norm(xyz) - 1.0) < 1e-10
+        abs(numerics.norm2(xyz) - 1.0) < 1e-10
         and projective.points_equal(back, p, Tolerance(eps_abs=1e-10, cond_max=tol.cond_max))
         and hopf_fibration.extended_equal(z, z_back, 1e-10)
     )

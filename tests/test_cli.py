@@ -372,3 +372,37 @@ def test_check_argument_guards_exit_2(args, message):
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr == f"projgeo: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, env_eps, field",
+    [
+        (["--eps", "inf"], None, "eps_abs"),
+        (["--eps", "nan"], None, "eps_abs"),
+        (["--cond-max", "inf"], None, "cond_max"),
+        ([], "inf", "eps_abs"),
+    ],
+)
+def test_non_finite_tolerance_exits_2_naming_the_field(flags, env_eps, field):
+    import os
+
+    env = dict(os.environ)
+    env.pop("PROJGEO_EPS", None)
+    if env_eps is not None:
+        env["PROJGEO_EPS"] = env_eps
+    res = run_cli("check", "--suite", "projective", "--trials", "2", *flags, env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"projgeo: {field} must ")
+    assert "finite" in res.stderr
+
+
+def test_check_at_a_huge_lambda_prints_counts_not_a_traceback():
+    res = run_cli("check", "--suite", "hopf-manifold", "--lambda", "1e60")
+    assert res.returncode in (0, 1)
+    assert "Traceback" not in res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 6
+    for line in lines[:-1]:
+        assert re.fullmatch(r"hopf-manifold\.\w+: \d+/100 (PASS|FAIL)", line)
+    assert lines[-1] in ("overall: PASS", "overall: FAIL")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from projgeo.errors import IllConditioned, NotSquare, RankDeficientToZero
@@ -9,6 +13,7 @@ from projgeo.numerics import (
     in_span,
     invert,
     kernel,
+    norm2,
     orthonormalize,
     projector_distance,
     require_conditioned,
@@ -146,3 +151,80 @@ def test_in_span_residual_against_eps():
     assert in_span(np.array([0.6, 0.8, 0.0]), basis, Tolerance())
     assert not in_span(np.array([0.6, 0.8, 1e-6]), basis, Tolerance())
     assert in_span(np.array([0.6, 0.8, 1e-6]), basis, Tolerance(eps_abs=1e-5))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"eps_abs": math.inf}, "eps_abs"),
+        ({"eps_abs": math.nan}, "eps_abs"),
+        ({"cond_max": math.inf}, "cond_max"),
+        ({"cond_max": math.nan}, "cond_max"),
+    ],
+)
+def test_tolerance_rejects_non_finite_values(kwargs, field):
+    value = next(iter(kwargs.values()))
+    with pytest.raises(ValueError, match=rf"^{field} must .* finite, got {value!r}$"):
+        Tolerance(**kwargs)
+
+
+def _views(a):
+    """The array itself and views of it in other memory layouts."""
+    _, _, vh = np.linalg.svd(a)
+    return [
+        a, a.T, np.asfortranarray(a), a[:, 0], a[:, -1], a[0], a[::2], a[:, ::-1],
+        vh[1:].conj().T, vh.T, a.ravel(),
+    ]
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_norm2_is_numpy_norm_bit_for_bit_in_range(cplx):
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        rows, cols = (int(d) for d in rng.integers(1, 9, size=2))
+        a = rng.standard_normal((rows, cols))
+        if cplx:
+            a = a + 1j * rng.standard_normal((rows, cols))
+        a *= 10.0 ** rng.uniform(-100.0, 100.0)
+        for x in _views(a):
+            got, want = norm2(x), np.linalg.norm(x)
+            assert type(got) is float
+            assert got == want, (x.shape, x.strides)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm2_at_the_edges_of_the_doubles():
+    assert norm2(np.zeros(3)) == 0.0
+    assert norm2(np.zeros((0,))) == 0.0
+    assert norm2(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert norm2(np.array([3e-200j, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+    assert norm2(np.array([5e-324, 0.0])) == 5e-324
+    assert norm2(np.array([1.5e308, 1.5e308])) == math.inf
+    assert norm2(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(norm2(np.array([1.0, math.nan])))
+
+
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.floats(1e-2, 1e2),
+    st.floats(-1e2, -1e-2),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    re=st.lists(_ENTRY, min_size=1, max_size=8),
+    im=st.lists(_ENTRY, min_size=8, max_size=8),
+    cplx=st.booleans(),
+    k=st.integers(-300, 300),
+)
+def test_norm2_commutes_with_powers_of_ten(re, im, cplx, k):
+    x = np.array(re)
+    if cplx:
+        x = x + 1j * np.array(im[: len(re)])
+    s = 10.0 ** k
+    want = s * norm2(x)
+    assume(0.0 < want < math.inf)
+    # s * x rounds each entry once; both norms round a few more times
+    assert abs(norm2(s * x) - want) <= 16 * math.ulp(want)
