@@ -18,7 +18,7 @@ print(f"  both project back: "
 print("\n== the complex story: circle fibers ==")
 q = pg.point_from_vector(np.array([1.0, 1.0j]))
 samples = pg.complex_fiber_sample(q, 8)
-errs = [np.max(np.abs(pg.hopf_project(x).h - q.h)) for x in samples]
+errs = [pg.point_distance(pg.hopf_project(x), q) for x in samples]
 print(f"  8 samples of the fiber over [1 : i]; projection error {max(errs):.2e}")
 
 a = pg.point_from_vector(np.array([1.0 + 0j, 0.0]))

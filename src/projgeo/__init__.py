@@ -1,8 +1,10 @@
 """Projective spaces, Grassmannians, and Hopf fibrations over R and C.
 
-Numerical coordinates throughout: every quotient object is held by a
-canonical representative so that equality of classes reduces to a
-coordinatewise comparison at an absolute tolerance.
+Numerical coordinates throughout.  Every quotient object is held by a
+canonical representative, which is only how its class is stored and
+printed.  Equality of classes is one distance per space, compared with an
+absolute tolerance: ``point_distance``, ``map_distance``, ``hopf_distance``
+and ``projector_distance``.
 """
 
 from projgeo.errors import (
@@ -60,6 +62,7 @@ from projgeo.hopf_fibration import (
 from projgeo.hopf_manifold import (
     HopfPoint,
     ScaleGroup,
+    hopf_distance,
     hopf_points_equal,
     induced_linear,
     quotient_project,
@@ -94,9 +97,11 @@ from projgeo.projective import (
     group_dimension,
     identity_map,
     inverse_map,
+    map_distance,
     map_from_matrix,
     maps_equal,
     missing_locus,
+    point_distance,
     point_from_vector,
     point_membership,
     points_equal,

@@ -7,7 +7,8 @@ digits, and every command is deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 1 property-suite failure, 2 unparsable input,
 bad arguments or a linking number too close to resolve, 3
-dimension/field/kind mismatch, 4 ill-conditioned input.
+dimension/field/kind mismatch or a link of one point with itself, 4
+ill-conditioned input.
 """
 
 import argparse

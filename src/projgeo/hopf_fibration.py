@@ -479,14 +479,13 @@ def mobius_matches_projective(
     samples: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
     rng: np.random.Generator | None = None,
-    agreement_eps: float = 1e-9,
 ) -> bool:
     """Check the Mobius form against the projective action on CP^1.
 
     Routes ``samples`` random affine values (plus 0, inf, and the pole
     -d/c when it exists) through the matrix [[a, b], [c, d]] acting on
     CP^1 and compares with the direct formula; True when every value
-    agrees within ``agreement_eps``, with inf matching only inf.
+    agrees within 1e-9, with inf matching only inf.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if abs(a * d - b * c) <= tol.eps_abs:
@@ -504,6 +503,6 @@ def mobius_matches_projective(
     for z in zs:
         direct = mobius_apply(a, b, c, d, z, tol)
         via_cp1 = cp1_affine(apply_map(t, cp1_from_affine(z, tol), tol), tol)
-        if not extended_equal(direct, via_cp1, agreement_eps):
+        if not extended_equal(direct, via_cp1, 1e-9):
             return False
     return True

@@ -3,9 +3,9 @@
 Fix a scalar lam with |lam| > 1 (default 2) and identify two nonzero
 vectors whenever one is lam^m times the other for some integer m.  Each
 class contains exactly one representative with norm in the half-open
-window [1, |lam|), which makes class equality a coordinatewise
-comparison of representatives.  For complex lam the action rotates by
-lam's phase at every power, not just by |lam|.
+window [1, |lam|), which is how a class is stored and printed.  Class
+equality is one distance, :func:`hopf_distance`, under eps.  For complex
+lam the action rotates by lam's phase at every power, not just by |lam|.
 
 Unlike the projective quotient, generic scalars are not identified:
 over R with lam = 2 the vectors v and -v land in different classes even
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from projgeo.errors import DimensionMismatch, FieldMismatch, NotCanonical, ZeroVector
+from projgeo.errors import DimensionMismatch, FieldMismatch, InvalidRange, NotCanonical, ZeroVector
 from projgeo.numerics import (
     COMPLEX,
     DEFAULT_TOLERANCE,
@@ -33,7 +33,7 @@ from projgeo.numerics import (
     norm2,
     require_conditioned,
 )
-from projgeo.projective import ProjPoint, _point_of
+from projgeo.projective import ProjPoint, _point_of, _same_space
 
 # Norms within this relative slack of the window's upper edge |lam| are
 # treated as sitting on the boundary and snapped to the lower edge 1.
@@ -68,10 +68,21 @@ class ScaleGroup:
         return not isinstance(self.lam, complex)
 
     def power(self, m: int, field: str):
-        """lam^m as a scalar of the given field."""
+        """lam^m as a scalar of the given field.
+
+        Raises InvalidRange when lam^m overflows, or underflows to zero.
+        """
         if field == REAL and not self.is_real:
             raise FieldMismatch("a complex scale does not act on real vectors")
-        return self.lam ** m
+        try:
+            value = self.lam ** m
+        except OverflowError:  # a float power overflows by raising, a complex one to nan
+            value = math.inf
+        if not 0.0 < abs(value) < math.inf:
+            raise InvalidRange(
+                f"lam^m leaves the range of doubles at lam = {self.lam!r}, m = {m}"
+            )
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +176,20 @@ def _scaled(vec: np.ndarray, lam, m: int, log_a: float) -> np.ndarray:
     return vec * lam ** (m - half) * lam ** half
 
 
+def hopf_distance(a: HopfPoint, b: HopfPoint) -> float:
+    """Distance between two classes of the same scale group: the largest
+    entry of the difference of their window representatives.
+
+    Here a representative is only rescaled by powers of lam, never turned
+    by a free phase, so it is compared as it is: v and -v are different
+    classes.
+    """
+    _same_space(a, b)
+    if a.group != b.group:
+        raise FieldMismatch(f"mixed scale groups: lam = {a.group.lam!r} vs {b.group.lam!r}")
+    return float(np.max(np.abs(a.rep - b.rep)))
+
+
 def hopf_points_equal(
     v,
     w,
@@ -178,15 +203,11 @@ def hopf_points_equal(
     """
     vv = as_vector(v)
     wv = as_vector(w)
-    if vv.shape[0] != wv.shape[0]:
-        raise DimensionMismatch(f"mixed dimensions: {vv.shape[0]} vs {wv.shape[0]}")
     if field_of(vv) != field_of(wv):
         common = COMPLEX
         vv = as_vector(vv, common)
         wv = as_vector(wv, common)
-    ra = _project(vv, group, tol).rep
-    rb = _project(wv, group, tol).rep
-    return bool(np.max(np.abs(ra - rb)) < tol.eps_abs)
+    return hopf_distance(_project(vv, group, tol), _project(wv, group, tol)) < tol.eps_abs
 
 
 def to_projective(point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:

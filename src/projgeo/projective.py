@@ -4,11 +4,15 @@ A point of RP^n or CP^n is a line through the origin of F^{n+1}.  Points
 are stored by a canonical representative of that line: the unit vector
 whose pivot coordinate is real and strictly positive, the pivot being
 the entry of largest modulus (smallest index wins near-ties).  Invertible
-matrices
-act on lines and so descend to projective maps; two matrices act
+matrices act on lines and so descend to projective maps; two matrices act
 identically exactly when they differ by a nonzero scalar, so maps are
-stored at unit Frobenius norm with the same pivot convention.  Canonical
-forms turn equality of points and maps into coordinatewise comparison.
+stored at unit Frobenius norm with the same pivot convention.
+
+The representative is only how a class is stored and printed: no choice
+of one can depend continuously on the line (the Hopf bundle has no global
+section), so near a pivot tie one line can have two representatives.
+Equality is therefore a class distance, :func:`point_distance` and
+:func:`map_distance`, which gives the same value for every representative.
 
 The affine chart with index j identifies F^n with the set of lines
 meeting the affine hyperplane {x : x_j = 1}; the n+1 coordinate charts
@@ -51,19 +55,21 @@ def _pivot_index(values: np.ndarray, eps: float) -> int:
     return int((mods >= mods[mods.argmax()] - eps).argmax())
 
 
-def _canonical(values: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _canonical(values: np.ndarray, tol: Tolerance, zero: float) -> np.ndarray:
     """The unit multiple of a nonzero array, flattened row-major, whose
     pivot entry is real and positive.
 
+    A norm at or below ``zero`` raises ZeroVector: eps for user input, 0.0
+    for arrays that cannot vanish, such as images under guarded maps.
     This is the one check of a representative that projgeo makes itself:
     the result is tested here, at the pivot just chosen, against the
     bounds of the ProjPoint and ProjMap constructors.
     """
     nrm = numerics.norm2(values)
-    if nrm <= tol.eps_abs:
+    if nrm <= zero:
         raise ZeroVector("cannot projectivize the zero vector")
     if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
-        return _canonical(values * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), tol)
+        return _canonical(values * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), tol, zero)
     u = (values / nrm).ravel()
     k = _pivot_index(u, tol.eps_abs)
     a = u[k]
@@ -120,8 +126,8 @@ class ProjPoint:
     """A point of RP^n (field "real") or CP^n (field "complex").
 
     ``h`` holds the canonical unit representative of the underlying
-    line.  Build instances with :func:`point_from_vector`; comparing two
-    points is :func:`points_equal`.
+    line.  Build instances with :func:`point_from_vector`; two points are
+    compared by :func:`point_distance`, not by their representatives.
     """
 
     field: str
@@ -218,20 +224,37 @@ def point_from_vector(
     All nonzero scalar multiples of ``v`` produce the same canonical
     coordinates (up to roundoff well under 1e-12).
     """
-    return _point_of(as_vector(v, field), tol)
+    return _point_of(as_vector(v, field), tol, tol.eps_abs)
 
 
-def _point_of(v: np.ndarray, tol: Tolerance) -> ProjPoint:
-    """Point on the line of a finite float64 or complex128 vector that
-    projgeo made itself, so needs no coercion."""
-    h = _canonical(v, tol)
+def _point_of(v: np.ndarray, tol: Tolerance, zero: float = 0.0) -> ProjPoint:
+    """Point on the line of a finite float64 or complex128 vector, which
+    needs no coercion.  By default only an exact zero is rejected: projgeo
+    passes here vectors that cannot vanish, such as images under guarded maps."""
+    h = _canonical(v, tol, zero)
     return _trusted(ProjPoint, h, h.shape[0] - 1, "h")
+
+
+def _class_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of a - w b, with w the unit phase of <b, a> (its sign
+    over R; 1 when <b, a> = 0) that turns b toward a.  For unit a and b it
+    is the same for every unit representative of either class."""
+    c = np.vdot(b, a)  # flattens matrices
+    w = c / abs(c) if c != 0 else 1.0
+    return float(np.max(np.abs(a - w * b)))
+
+
+def point_distance(p: ProjPoint, q: ProjPoint) -> float:
+    """Distance between the lines of two points: 0 for the same line,
+    whichever representatives they hold.  Equality of points is this
+    distance under eps."""
+    _same_space(p, q)
+    return _class_distance(p.h, q.h)
 
 
 def points_equal(p: ProjPoint, q: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether two points are the same line, i.e. scalar multiples."""
-    _same_space(p, q)
-    return bool(np.max(np.abs(p.h - q.h)) < tol.eps_abs)
+    return point_distance(p, q) < tol.eps_abs
 
 
 def map_from_matrix(
@@ -257,23 +280,35 @@ def map_from_matrix(
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"projective maps need square matrices, got {a.shape}")
     numerics.require_conditioned(a, tol)
-    return _map_class(a, tol)
+    return _map_class(a, tol, tol.eps_abs)
 
 
-def _map_class(a: np.ndarray, tol: Tolerance) -> ProjMap:
+def _map_class(a: np.ndarray, tol: Tolerance, zero: float = 0.0) -> ProjMap:
     """Class of a square matrix, unguarded: for inverses of guarded matrices
-    (cond(A^-1) = cond(A)) and for unitaries built here."""
-    return _trusted(ProjMap, _canonical(a, tol).reshape(a.shape), a.shape[0] - 1, "M")
+    (cond(A^-1) = cond(A)) and for unitaries built here.  By default only an
+    exact zero is rejected, as in :func:`_point_of`."""
+    return _trusted(ProjMap, _canonical(a, tol, zero).reshape(a.shape), a.shape[0] - 1, "M")
+
+
+def map_distance(t1: ProjMap, t2: ProjMap) -> float:
+    """Distance between the scalar classes of two maps, read on their unit
+    Frobenius-norm matrices as :func:`point_distance` reads on vectors."""
+    _same_space(t1, t2)
+    return _class_distance(t1.M, t2.M)
 
 
 def maps_equal(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Whether two maps coincide as transformations (scalar classes agree)."""
-    _same_space(t1, t2)
-    return bool(np.max(np.abs(t1.M - t2.M)) < tol.eps_abs)
+    return map_distance(t1, t2) < tol.eps_abs
 
 
 def apply_map(t: ProjMap, p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
-    """Image of a point under a projective map."""
+    """Image of a point under a projective map.
+
+    T h is never zero, since T passed the conditioning guard, so only an
+    exact zero is rejected.  Near the cap the image's direction is accurate
+    to about cond(T) times the unit roundoff 2^-53.
+    """
     _same_space(t, p)
     return _point_of(t.M @ p.h, tol)
 

@@ -30,10 +30,10 @@ def rand_vector(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
     return v
 
 
-def rand_nonzero_vector(rng, dim, field, floor: float = 1e-3) -> np.ndarray:
+def rand_nonzero_vector(rng, dim, field) -> np.ndarray:
     while True:
         v = rand_vector(rng, dim, field)
-        if numerics.norm2(v) > floor:
+        if numerics.norm2(v) > 1e-3:
             return v
 
 
@@ -44,11 +44,11 @@ def rand_nonzero_scalar(rng, field):
     return mag if rng.random() < 0.5 else -mag
 
 
-def rand_invertible(rng, n, field, cond_limit: float = 1e6) -> np.ndarray:
-    """Random square matrix, regenerated until its condition is modest."""
+def rand_invertible(rng, n, field) -> np.ndarray:
+    """Random square matrix, regenerated until its condition is under 1e6."""
     while True:
         a = rand_vector(rng, n * n, field).reshape(n, n)
-        if numerics.cond_estimate(a) < cond_limit:
+        if numerics.cond_estimate(a) < 1e6:
             return a
 
 
@@ -92,6 +92,7 @@ def _prop_scalar_invariance(rng, i, tol, lam):
     beta = rand_nonzero_scalar(rng, field)
     t1 = projective.map_from_matrix(a, tol)
     t2 = projective.map_from_matrix(beta * a, tol)
+    # the canonical form itself: one representative, not only one class
     return np.max(np.abs(p1.h - p2.h)) < 1e-12 and np.max(np.abs(t1.M - t2.M)) < 1e-12
 
 
@@ -102,7 +103,7 @@ def _prop_functoriality(rng, i, tol, lam):
     p = rand_proj_point(rng, n, field, tol)
     lhs = projective.apply_map(projective.compose(t1, t2, tol), p, tol)
     rhs = projective.apply_map(t1, projective.apply_map(t2, p, tol), tol)
-    return np.max(np.abs(lhs.h - rhs.h)) < 1e-9
+    return projective.point_distance(lhs, rhs) < 1e-9
 
 
 def _prop_inverse_law(rng, i, tol, lam):
@@ -115,8 +116,8 @@ def _prop_inverse_law(rng, i, tol, lam):
     )
     composed = projective.compose(t, projective.inverse_map(t, tol), tol)
     return (
-        np.max(np.abs(round_trip.h - p.h)) < 1e-9
-        and np.max(np.abs(composed.M - ident.M)) < 1e-9
+        projective.point_distance(round_trip, p) < 1e-9
+        and projective.map_distance(composed, ident) < 1e-9
     )
 
 
@@ -133,7 +134,7 @@ def _prop_atlas_cover(rng, i, tol, lam):
     there = projective.chart_extract(chart, projective.chart_embed(chart, w, tol, field), tol)
     return (
         pivot_ok
-        and np.max(np.abs(back.h - p.h)) < 1e-10
+        and projective.point_distance(back, p) < 1e-10
         and there is not None
         and np.max(np.abs(there - w)) < 1e-10
     )
@@ -149,8 +150,10 @@ def _prop_missing_locus(rng, i, tol, lam):
         absent = projective.chart_extract(chart, p, tol) is None
         if absent != projective.point_membership(p, locus, tol):
             good = False
-        # a point manufactured on the locus must be invisible to the chart
+        # a point manufactured on the locus must be invisible to the chart;
+        # its coefficients are scaled up, if need be, to clear the zero test
         coeffs = rand_nonzero_vector(rng, n, field)
+        coeffs = coeffs * max(1.0, 4.0 * tol.eps_abs / numerics.norm2(coeffs))
         on_locus = projective.point_from_vector(locus.basis @ coeffs, tol)
         if projective.chart_extract(chart, on_locus, tol) is not None:
             good = False
@@ -165,7 +168,7 @@ def _prop_transitivity(rng, i, tol, lam):
     q = rand_proj_point(rng, n, field, tol)
     t = projective.transitive_witness(p, q, tol)
     image = projective.apply_map(t, p, tol)
-    return np.max(np.abs(image.h - q.h)) < 1e-9
+    return projective.point_distance(image, q) < 1e-9
 
 
 # --- grassmann -----------------------------------------------------------
@@ -301,7 +304,7 @@ def _prop_canonical_window(rng, i, tol, lam):
     again = hopf_manifold.quotient_project(h.rep, group, tol)
     return (
         1.0 - 1e-12 <= nrm < a * (1.0 - 1e-12)
-        and np.array_equal(again.rep, h.rep)
+        and np.array_equal(again.rep, h.rep)  # the canonical form: projecting is idempotent
     )
 
 
@@ -350,8 +353,8 @@ def _prop_equivariance(rng, i, tol, lam):
         projective.map_from_matrix(g, tol), hopf_manifold.to_projective(h, tol), tol
     )
     return (
-        np.max(np.abs(moved.rep - moved_alt.rep)) < 1e-9
-        and np.max(np.abs(top.h - bottom.h)) < 1e-9
+        hopf_manifold.hopf_distance(moved, moved_alt) < 1e-9
+        and projective.point_distance(top, bottom) < 1e-9
     )
 
 
@@ -387,8 +390,8 @@ def _prop_real_double_cover(rng, i, tol, lam):
     return (
         np.array_equal(x1.x, -x2.x)
         and abs(numerics.norm2(x1.x) - 1.0) < 1e-12
-        and np.max(np.abs(back1.h - p.h)) < 1e-10
-        and np.max(np.abs(back2.h - p.h)) < 1e-10
+        and projective.point_distance(back1, p) < 1e-10
+        and projective.point_distance(back2, p) < 1e-10
     )
 
 
@@ -398,7 +401,7 @@ def _prop_circle_fiber(rng, i, tol, lam):
     p = rand_proj_point(rng, n, COMPLEX, tol)
     samples = hopf_fibration.complex_fiber_sample(p, m)
     good = all(
-        np.max(np.abs(hopf_fibration.hopf_project(x, tol).h - p.h)) < 1e-10
+        projective.point_distance(hopf_fibration.hopf_project(x, tol), p) < 1e-10
         for x in samples
     )
     t1, t2 = int(rng.integers(0, m)), int(rng.integers(0, m))
@@ -425,7 +428,7 @@ def _prop_sphere_chart(rng, i, tol, lam):
     )
     return (
         abs(numerics.norm2(xyz) - 1.0) < 1e-10
-        and projective.points_equal(back, p, Tolerance(eps_abs=1e-10, cond_max=tol.cond_max))
+        and projective.point_distance(back, p) < 1e-10
         and hopf_fibration.extended_equal(z, z_back, 1e-10)
     )
 

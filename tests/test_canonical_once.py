@@ -116,6 +116,7 @@ def _typed_or(fn):
 
 
 def _check_scale(k):
+    # the canonical form itself: a representative that does not depend on scale
     s = 10.0 ** k
     p0, t0 = pg.point_from_vector(_V), pg.map_from_matrix(_A)
     x0, s0 = pg.sphere_point(_V), pg.subspace_from_span(_SPAN)
@@ -152,6 +153,7 @@ def test_scale_invariant_constructors_at_any_scale(k):
 
 
 def test_results_at_1e200_are_those_of_the_unit_vector():
+    # the canonical form itself, so representatives are compared
     v = np.array([1e200, -2e200, 2e200])
     assert np.max(np.abs(pg.point_from_vector(v).h - pg.point_from_vector(v / 3e200).h)) < 1e-15
     a = 1e200 * np.eye(3)[[2, 0, 1]]
@@ -162,6 +164,7 @@ def test_results_at_1e200_are_those_of_the_unit_vector():
 
 
 def test_norms_past_the_largest_double_and_under_the_smallest_normal_one():
+    # the canonical form itself, so representatives are compared
     huge = np.array([1.5e308, -1.5e308, 1e308])
     assert numerics.norm2(huge) == math.inf
     unit = huge / 1e308

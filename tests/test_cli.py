@@ -261,11 +261,16 @@ def test_check_deterministic_byte_identical():
 
 @pytest.mark.parametrize(
     "args",
-    [["--suite", "hopf-manifold", "--lambda", "1e8"], ["--suite", "all", "--eps", "1e-3"]],
-    ids=["lambda-1e8", "eps-1e-3"],
+    [
+        ["--suite", "hopf-manifold", "--lambda", "1e8"],
+        ["--suite", "all", "--eps", "1e-3"],
+        ["--suite", "all", "--eps", "1e-2"],
+    ],
+    ids=["lambda-1e8", "eps-1e-3", "eps-1e-2"],
 )
 def test_check_draws_clear_of_eps_and_lambda(args):
-    # scaled draws used to fall below eps here and abort with ZeroVector
+    # scaled draws, and images under near-cap maps, used to fall below eps
+    # here and abort with ZeroVector
     res = run_cli("check", *args)
     assert res.returncode in (0, 1)
     assert res.stderr == ""
@@ -395,6 +400,16 @@ def test_non_finite_tolerance_exits_2_naming_the_field(flags, env_eps, field):
     assert res.stdout == ""
     assert res.stderr.startswith(f"projgeo: {field} must ")
     assert "finite" in res.stderr
+
+
+def test_check_past_the_range_of_lambda_powers_exits_2_naming_lam_and_m():
+    res = run_cli("check", "--suite", "hopf-manifold", "--lambda", "1e200")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "projgeo: hopf-manifold.equivariance, trial 0: "
+        "lam^m leaves the range of doubles at lam = 1e+200, m = 3\n"
+    )
 
 
 def test_check_at_a_huge_lambda_prints_counts_not_a_traceback():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,12 +8,15 @@ from projgeo import (
     DimensionMismatch,
     FieldMismatch,
     HopfPoint,
+    InvalidRange,
     ScaleGroup,
     ZeroVector,
     apply_map,
+    hopf_distance,
     hopf_points_equal,
     induced_linear,
     map_from_matrix,
+    point_distance,
     point_from_vector,
     points_equal,
     quotient_project,
@@ -22,6 +27,14 @@ from projgeo import (
 from projgeo.suites import rand_invertible, rand_nonzero_vector, rand_subspace
 
 TWO = ScaleGroup(2)
+
+
+@pytest.mark.parametrize("lam, m", [(1e200, 3), (1e200, -3), (1e200 + 1e200j, 3), (2.0, 2000)])
+def test_scale_group_power_out_of_range_is_typed(lam, m):
+    group = ScaleGroup(lam)
+    field = "real" if group.is_real else "complex"
+    with pytest.raises(InvalidRange, match=re.escape(f"lam = {group.lam!r}, m = {m}")):
+        group.power(m, field)
 
 
 def test_scale_group_validation():
@@ -123,7 +136,7 @@ def test_projection_constant_on_classes(field):
 def test_induced_identity():
     h = quotient_project([1.0, 1.0], TWO)
     moved = induced_linear(np.eye(2), h)
-    assert np.max(np.abs(moved.rep - h.rep)) < 1e-15
+    assert hopf_distance(moved, h) < 1e-15
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -134,7 +147,7 @@ def test_induced_linear_well_defined(field):
         g = rand_invertible(rng, 3, field)
         a = induced_linear(g, quotient_project(v, TWO))
         b = induced_linear(g, quotient_project(v * TWO.power(3, field), TWO))
-        assert np.max(np.abs(a.rep - b.rep)) < 1e-9
+        assert hopf_distance(a, b) < 1e-9
 
 
 @pytest.mark.parametrize("lam", [2.0, 3.0, 2.0j])
@@ -148,7 +161,7 @@ def test_compatibility_square(lam):
         h = quotient_project(v, group)
         top = to_projective(induced_linear(g, h))
         bottom = apply_map(map_from_matrix(g), to_projective(h))
-        assert np.max(np.abs(top.h - bottom.h)) < 1e-9
+        assert point_distance(top, bottom) < 1e-9
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -167,10 +180,10 @@ def test_fiber_over_projective_point_is_scalar_window(field):
             h = quotient_project(mag * phase * unit, TWO)
             assert points_equal(to_projective(h), line)
             assert abs(np.linalg.norm(h.rep) - mag) < 1e-12  # alpha survives intact
-            seen.append(h.rep)
+            seen.append(h)
     for i in range(len(seen)):
         for j in range(i + 1, len(seen)):
-            assert np.max(np.abs(seen[i] - seen[j])) > 1e-9
+            assert hopf_distance(seen[i], seen[j]) > 1e-9
 
 
 def test_trace_membership_axes():

@@ -20,6 +20,10 @@ def round_trip(obj):
     return decode(json.loads(dumps(encode(obj))))
 
 
+# The round trips compare representatives, not classes: the wire format
+# must carry the canonical form itself.
+
+
 def test_float_formatting_round_trips_doubles():
     assert dumps(0.1) == "0.10000000000000001"
     assert float(dumps(1.0 / 3.0)) == 1.0 / 3.0

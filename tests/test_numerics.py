@@ -223,8 +223,24 @@ def test_norm2_commutes_with_powers_of_ten(re, im, cplx, k):
     x = np.array(re)
     if cplx:
         x = x + 1j * np.array(im[: len(re)])
+    want = 10.0 ** k * norm2(x)
+    assume(0.0 < want < math.inf)
+    _assert_norm2_commutes(x, k)
+
+
+def _assert_norm2_commutes(x, k):
     s = 10.0 ** k
     want = s * norm2(x)
-    assume(0.0 < want < math.inf)
     # s * x rounds each entry once; both norms round a few more times
     assert abs(norm2(s * x) - want) <= 16 * math.ulp(want)
+
+
+@pytest.mark.parametrize("k", range(-165, -149))
+def test_norm2_commutes_with_powers_of_ten_where_squares_are_subnormal(k):
+    # the sum of squares of 10^k x falls under the smallest normal double
+    # here, a band that uniform draws of k in [-300, 300] rarely reach
+    rng = np.random.default_rng(-k)
+    for size in (1, 2, 5, 8):
+        x = rng.uniform(1e-2, 1e2, size) * rng.choice((-1.0, 1.0), size)
+        _assert_norm2_commutes(x, k)
+        _assert_norm2_commutes(x + 1j * rng.uniform(-1e2, 1e2, size), k)

@@ -22,6 +22,7 @@ from projgeo import (
     map_from_matrix,
     maps_equal,
     missing_locus,
+    point_distance,
     point_from_vector,
     point_membership,
     points_equal,
@@ -65,6 +66,7 @@ def test_point_rejects_zero_vector():
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_point_canonical_under_random_scalars(field):
+    # the canonical form itself: scalar multiples get one representative
     rng = np.random.default_rng(2)
     for _ in range(200):
         v = rand_nonzero_vector(rng, 4, field)
@@ -102,6 +104,7 @@ def test_map_scalar_matrix_canonical_form():
 def test_map_scalar_invariance():
     rng = np.random.default_rng(4)
     a = rand_invertible(rng, 4, "real")
+    # the canonical form itself: scalar multiples get one representative
     assert np.max(np.abs(map_from_matrix(a).M - map_from_matrix(5.0 * a).M)) < 1e-12
     assert np.max(np.abs(map_from_matrix(a).M - map_from_matrix(-a).M)) < 1e-12
 
@@ -109,6 +112,20 @@ def test_map_scalar_invariance():
 def test_map_rejects_ill_conditioned():
     with pytest.raises(IllConditioned):
         map_from_matrix(np.diag([1.0, 1e-15]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_near_cap_maps_send_every_direction_to_a_point(field):
+    # |T h| is cond(T)^-1 / |T|_F, under eps, on the smallest right singular
+    # vector; the image is still the line of u_min, to about cond * 2^-53
+    rng = np.random.default_rng(8)
+    u, _ = np.linalg.qr(rand_vector(rng, 16, field).reshape(4, 4))
+    v, _ = np.linalg.qr(rand_vector(rng, 16, field).reshape(4, 4))
+    t = map_from_matrix(u @ np.diag([1.0, 0.5, 0.2, 1e-9]) @ v.conj().T)
+    image = apply_map(t, point_from_vector(v[:, 3]))
+    assert point_distance(image, point_from_vector(u[:, 3])) < 1e-6
+    with pytest.raises(ZeroVector):  # the zero test on user input stays at eps
+        map_from_matrix(1e-10 * np.eye(2))
 
 
 def test_apply_identity():
@@ -149,7 +166,7 @@ def test_compose_matches_stepwise_application(field):
         p = rand_proj_point(rng, 3, field)
         lhs = apply_map(compose(t1, t2), p)
         rhs = apply_map(t1, apply_map(t2, p))
-        assert np.max(np.abs(lhs.h - rhs.h)) < 1e-9
+        assert point_distance(lhs, rhs) < 1e-9
 
 
 def test_inverse_diagonal():
@@ -163,7 +180,7 @@ def test_inverse_round_trip_on_points():
     for _ in range(50):
         p = rand_proj_point(rng, 4, "real")
         back = apply_map(inverse_map(t), apply_map(t, p))
-        assert np.max(np.abs(back.h - p.h)) < 1e-9
+        assert point_distance(back, p) < 1e-9
 
 
 def test_maps_equal_cases():
@@ -343,7 +360,7 @@ def test_transitive_witness_random_cp3():
     for _ in range(100):
         p, q = rand_distinct_points(rng, 3, "complex")
         t = transitive_witness(p, q)
-        assert np.max(np.abs(apply_map(t, p).h - q.h)) < 1e-9
+        assert point_distance(apply_map(t, p), q) < 1e-9
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -376,6 +393,9 @@ def test_custom_tolerance_threads_through():
 
 LOOSE = Tolerance(eps_abs=1e-6)
 SCALARS = (1.0, -2.5, 1e-3 * np.exp(0.4j), 7e4 * np.exp(-2.1j))
+
+# The near-tie tests below check the canonical form at a user eps, so they
+# compare representatives, not classes.
 
 
 def test_point_near_tie_at_user_eps():
