@@ -12,6 +12,7 @@ from projgeo.errors import (
     DimensionMismatch,
     FieldMismatch,
     IllConditioned,
+    InvalidInput,
     InvalidRange,
     NotCanonical,
     NotSquare,

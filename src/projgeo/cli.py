@@ -23,12 +23,14 @@ from projgeo.errors import (
     DimensionMismatch,
     FieldMismatch,
     IllConditioned,
+    InvalidInput,
     InvalidRange,
     NotSquare,
     ProjGeoError,
     SamePoint,
     ShapeMismatch,
 )
+from projgeo.grassmann import Subspace
 from projgeo.hopf_fibration import ExtendedComplex
 from projgeo.hopf_manifold import HopfPoint, ScaleGroup
 from projgeo.numerics import COMPLEX, REAL, DEFAULT_TOLERANCE, Tolerance, as_vector
@@ -54,12 +56,26 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(eps, cond)
 
 
-def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("top-level JSON value must be an object")
-    return doc
+def _read(tol: Tolerance, *paths: str, want=object, error: str = ""):
+    """Decode the JSON document at each path, then check that every result
+    is a ``want``: a class, or an array rank (1 vector, 2 matrix).  Raises
+    DimensionMismatch(error) when one is not.  Returns the one object, or
+    a list when given several paths."""
+    objs = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InvalidInput("top-level JSON value must be an object")
+        objs.append(jsonio.decode(doc, tol))
+    for obj in objs:
+        if isinstance(want, int):
+            ok = isinstance(obj, np.ndarray) and obj.ndim == want
+        else:
+            ok = isinstance(obj, want)
+        if not ok:
+            raise DimensionMismatch(error)
+    return objs[0] if len(objs) == 1 else objs
 
 
 def _emit(obj) -> None:
@@ -73,8 +89,7 @@ def _emit(obj) -> None:
 
 def _cmd_apply(args) -> int:
     tol = _tolerance(args)
-    mapping = jsonio.decode(_load(args.map_file), tol)
-    operand = jsonio.decode(_load(args.point_file), tol)
+    mapping, operand = _read(tol, args.map_file, args.point_file)
 
     if isinstance(mapping, ProjMap) and isinstance(operand, ProjPoint):
         result = projective.apply_map(mapping, operand, tol)
@@ -88,7 +103,7 @@ def _cmd_apply(args) -> int:
         )
         _emit(hopf_fibration.cp1_affine(moved, tol))
         return 0
-    if isinstance(mapping, np.ndarray) and isinstance(operand, grassmann.Subspace):
+    if isinstance(mapping, np.ndarray) and isinstance(operand, Subspace):
         _emit(grassmann.apply_gl(mapping, operand, tol))
         return 0
     if isinstance(mapping, np.ndarray) and isinstance(operand, HopfPoint):
@@ -102,66 +117,46 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    """One CSV row per sphere point: t, then its real coordinates (re/im
+    interleaved over C), then the stereographic X, Y, Z when asked."""
     tol = _tolerance(args)
-    p = jsonio.decode(_load(args.point_file), tol)
-    if not isinstance(p, ProjPoint):
-        raise DimensionMismatch("fiber expects a proj_point document")
-    out = sys.stdout
-
+    p = _read(tol, args.point_file, want=ProjPoint,
+              error="fiber expects a proj_point document")
     if p.field == REAL:
         if args.stereo:
             raise FieldMismatch("--stereo needs a complex point of CP^1")
-        out.write("t," + ",".join(f"x{i + 1}" for i in range(p.n + 1)) + "\n")
-        for t, point in enumerate(hopf_fibration.real_fiber(p)):
-            out.write(",".join([str(t)] + [jsonio.format_float(c) for c in point.x]) + "\n")
-        return 0
-
-    if args.stereo and p.n != 1:
-        raise DimensionMismatch("--stereo is defined for CP^1 points only")
-    samples = hopf_fibration.complex_fiber_sample(p, args.samples)
-    stereo = (
-        hopf_fibration.fiber_stereo_samples(p, args.samples) if args.stereo else None
-    )
-    header = ["t"]
-    for i in range(p.n + 1):
-        header += [f"x{2 * i + 1}", f"x{2 * i + 2}"]
-    if stereo is not None:
-        header += ["X", "Y", "Z"]
-    out.write(",".join(header) + "\n")
-    for t, point in enumerate(samples):
-        row = [str(t)]
-        for z in point.x:
-            row += [jsonio.format_float(z.real), jsonio.format_float(z.imag)]
-        if stereo is not None:
-            row += [jsonio.format_float(c) for c in stereo[t]]
-        out.write(",".join(row) + "\n")
+        table = np.stack([x.x for x in hopf_fibration.real_fiber(p)])
+    else:
+        if args.stereo and p.n != 1:
+            raise DimensionMismatch("--stereo is defined for CP^1 points only")
+        table = hopf_fibration.complex_fiber_sample(p, args.samples).view(np.float64)
+    names = [f"x{i + 1}" for i in range(table.shape[1])]
+    if args.stereo:
+        table = np.hstack([table, hopf_fibration.fiber_stereo_samples(p, args.samples)])
+        names += ["X", "Y", "Z"]
+    row = "%d" + f",{jsonio.FLOAT_FORMAT}" * len(names) + "\n"
+    sys.stdout.write(",".join(["t", *names]) + "\n")
+    for i in range(0, table.shape[0], 4096):  # blocks keep the text small
+        block = enumerate(table[i:i + 4096].tolist(), i)
+        sys.stdout.write("".join(row % (t, *r) for t, r in block))
     return 0
 
 
 def _cmd_chart(args) -> int:
     tol = _tolerance(args)
+    if args.action == "extract":
+        p = _read(tol, args.input, want=ProjPoint,
+                  error="extract expects a proj_point document")
+        _emit(projective.chart_extract(projective.AffineChart(p.n, args.j), p, tol))
+        return 0
+    w = _read(tol, args.input, want=1, error=f"{args.action} expects a vector document")
+    if args.field:
+        w = as_vector(w, args.field)
     if args.action == "embed":
-        w = jsonio.decode(_load(args.input), tol)
-        if not isinstance(w, np.ndarray) or w.ndim != 1:
-            raise DimensionMismatch("embed expects a vector document")
-        if args.field:
-            w = as_vector(w, args.field)
         chart = projective.AffineChart(w.shape[0], args.j)
         _emit(projective.chart_embed(chart, w, tol))
         return 0
-    if args.action == "extract":
-        p = jsonio.decode(_load(args.input), tol)
-        if not isinstance(p, ProjPoint):
-            raise DimensionMismatch("extract expects a proj_point document")
-        chart = projective.AffineChart(p.n, args.j)
-        _emit(projective.chart_extract(chart, p, tol))
-        return 0
     # transition
-    w = jsonio.decode(_load(args.input), tol)
-    if not isinstance(w, np.ndarray) or w.ndim != 1:
-        raise DimensionMismatch("transition expects a vector document")
-    if args.field:
-        w = as_vector(w, args.field)
     c1 = projective.AffineChart(w.shape[0], args.j1)
     c2 = projective.AffineChart(w.shape[0], args.j2)
     _emit(projective.chart_transition(c1, c2, w, tol))
@@ -171,9 +166,8 @@ def _cmd_chart(args) -> int:
 def _cmd_grassmann(args) -> int:
     tol = _tolerance(args)
     if args.action in ("complement", "annihilator"):
-        s = jsonio.decode(_load(args.subspace), tol)
-        if not isinstance(s, grassmann.Subspace):
-            raise DimensionMismatch(f"{args.action} expects a subspace document")
+        s = _read(tol, args.subspace, want=Subspace,
+                  error=f"{args.action} expects a subspace document")
         fn = (
             grassmann.orthogonal_complement
             if args.action == "complement"
@@ -182,26 +176,19 @@ def _cmd_grassmann(args) -> int:
         _emit(fn(s, tol))
         return 0
 
-    base = jsonio.decode(_load(args.base), tol)
-    if not isinstance(base, grassmann.Subspace):
-        raise DimensionMismatch("--base must be a subspace document")
+    base = _read(tol, args.base, want=Subspace, error="--base must be a subspace document")
     complement = None
     if args.complement:
-        complement = jsonio.decode(_load(args.complement), tol)
-        if not isinstance(complement, grassmann.Subspace):
-            raise DimensionMismatch("--complement must be a subspace document")
+        complement = _read(tol, args.complement, want=Subspace,
+                           error="--complement must be a subspace document")
     chart = grassmann.graph_chart(base, complement, tol)
 
     if args.action == "graph":
-        coeffs = jsonio.decode(_load(args.matrix), tol)
-        if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2:
-            raise DimensionMismatch("--matrix must be a matrix document")
+        coeffs = _read(tol, args.matrix, want=2, error="--matrix must be a matrix document")
         _emit(grassmann.graph_subspace(chart, coeffs, tol))
         return 0
     # coords
-    x = jsonio.decode(_load(args.subspace), tol)
-    if not isinstance(x, grassmann.Subspace):
-        raise DimensionMismatch("coords expects a subspace document")
+    x = _read(tol, args.subspace, want=Subspace, error="coords expects a subspace document")
     _emit(grassmann.chart_coords(chart, x, tol))
     return 0
 
@@ -210,36 +197,28 @@ def _cmd_hopf(args) -> int:
     tol = _tolerance(args)
     group = ScaleGroup(_parse_scalar(args.lam))
     if args.action == "project":
-        v = jsonio.decode(_load(args.vector), tol)
-        if not isinstance(v, np.ndarray) or v.ndim != 1:
-            raise DimensionMismatch("project expects a vector document")
+        v = _read(tol, args.vector, want=1, error="project expects a vector document")
         if args.field:
             v = as_vector(v, args.field)
         _emit(hopf_manifold.quotient_project(v, group, tol))
         return 0
     if args.action == "equal":
-        v = jsonio.decode(_load(args.vector), tol)
-        w = jsonio.decode(_load(args.other), tol)
-        for arr in (v, w):
-            if not isinstance(arr, np.ndarray) or arr.ndim != 1:
-                raise DimensionMismatch("equal expects two vector documents")
+        v, w = _read(tol, args.vector, args.other, want=1,
+                     error="equal expects two vector documents")
         verdict = hopf_manifold.hopf_points_equal(v, w, group, tol)
         sys.stdout.write(("true" if verdict else "false") + "\n")
         return 0
     # to-projective
-    h = jsonio.decode(_load(args.vector), tol)
-    if not isinstance(h, HopfPoint):
-        raise DimensionMismatch("to-projective expects a hopf_point document")
+    h = _read(tol, args.vector, want=HopfPoint,
+              error="to-projective expects a hopf_point document")
     _emit(hopf_manifold.to_projective(h, tol))
     return 0
 
 
 def _cmd_link(args) -> int:
     tol = _tolerance(args)
-    p = jsonio.decode(_load(args.point_file), tol)
-    q = jsonio.decode(_load(args.other_file), tol)
-    if not (isinstance(p, ProjPoint) and isinstance(q, ProjPoint)):
-        raise DimensionMismatch("link expects two proj_point documents")
+    p, q = _read(tol, args.point_file, args.other_file, want=ProjPoint,
+                 error="link expects two proj_point documents")
     count = hopf_fibration.linking_number(p, q, args.samples, tol)
     result = {
         "kind": "linking",
@@ -303,58 +282,52 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chart = sub.add_parser("chart", parents=[common],
                              help="affine chart embed/extract/transition")
+    p_chart.set_defaults(func=_cmd_chart)  # each sub-action sets args.action
     chart_sub = p_chart.add_subparsers(dest="action", required=True)
     c_embed = chart_sub.add_parser("embed", parents=[common])
     c_embed.add_argument("input", help="vector document of affine coordinates")
     c_embed.add_argument("--j", type=int, required=True)
     c_embed.add_argument("--field", choices=(REAL, COMPLEX), default=None)
-    c_embed.set_defaults(func=_cmd_chart, action="embed")
     c_extract = chart_sub.add_parser("extract", parents=[common])
     c_extract.add_argument("input", help="proj_point document")
     c_extract.add_argument("--j", type=int, required=True)
-    c_extract.set_defaults(func=_cmd_chart, action="extract")
     c_trans = chart_sub.add_parser("transition", parents=[common])
     c_trans.add_argument("input", help="vector document of chart-1 coordinates")
     c_trans.add_argument("--j1", type=int, required=True)
     c_trans.add_argument("--j2", type=int, required=True)
     c_trans.add_argument("--field", choices=(REAL, COMPLEX), default=None)
-    c_trans.set_defaults(func=_cmd_chart, action="transition")
 
     p_gr = sub.add_parser("grassmann", parents=[common],
                           help="graph charts and dualities on G(k, n)")
+    p_gr.set_defaults(func=_cmd_grassmann)
     gr_sub = p_gr.add_subparsers(dest="action", required=True)
     g_graph = gr_sub.add_parser("graph", parents=[common])
     g_graph.add_argument("--base", required=True)
     g_graph.add_argument("--complement", default=None)
     g_graph.add_argument("--matrix", required=True)
-    g_graph.set_defaults(func=_cmd_grassmann, action="graph")
     g_coords = gr_sub.add_parser("coords", parents=[common])
     g_coords.add_argument("subspace")
     g_coords.add_argument("--base", required=True)
     g_coords.add_argument("--complement", default=None)
-    g_coords.set_defaults(func=_cmd_grassmann, action="coords")
     for name in ("complement", "annihilator"):
         g_dual = gr_sub.add_parser(name, parents=[common])
         g_dual.add_argument("subspace")
-        g_dual.set_defaults(func=_cmd_grassmann, action=name)
 
     p_hopf = sub.add_parser("hopf", parents=[common],
                             help="scalar-power quotient operations")
+    p_hopf.set_defaults(func=_cmd_hopf)
     hopf_sub = p_hopf.add_subparsers(dest="action", required=True)
     h_proj = hopf_sub.add_parser("project", parents=[common])
     h_proj.add_argument("vector")
     h_proj.add_argument("--lambda", dest="lam", default="2")
     h_proj.add_argument("--field", choices=(REAL, COMPLEX), default=None)
-    h_proj.set_defaults(func=_cmd_hopf, action="project")
     h_eq = hopf_sub.add_parser("equal", parents=[common])
     h_eq.add_argument("vector")
     h_eq.add_argument("other")
     h_eq.add_argument("--lambda", dest="lam", default="2")
-    h_eq.set_defaults(func=_cmd_hopf, action="equal")
     h_top = hopf_sub.add_parser("to-projective", parents=[common])
     h_top.add_argument("vector", help="hopf_point document")
     h_top.add_argument("--lambda", dest="lam", default="2")
-    h_top.set_defaults(func=_cmd_hopf, action="to-projective")
 
     p_link = sub.add_parser("link", parents=[common],
                             help="linking number of two CP^1 fibers, by counting crossings")
@@ -378,22 +351,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DimensionMismatch, FieldMismatch, ShapeMismatch, NotSquare, SamePoint) as exc:
+    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError, ProjGeoError) as exc:
         print(f"projgeo: {exc}", file=sys.stderr)
-        return 3
-    except IllConditioned as exc:
-        print(f"projgeo: {exc}", file=sys.stderr)
-        return 4
-    except (
-        json.JSONDecodeError,
-        OSError,
-        KeyError,
-        TypeError,
-        ValueError,
-        ProjGeoError,
-    ) as exc:
-        print(f"projgeo: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (DimensionMismatch, FieldMismatch, ShapeMismatch, NotSquare, SamePoint)):
+            return 3
+        return 4 if isinstance(exc, IllConditioned) else 2
 
 
 if __name__ == "__main__":

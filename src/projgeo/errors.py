@@ -25,6 +25,10 @@ class NotCanonical(ProjGeoError, ValueError):
     """A representative projgeo computed failed its canonical-form check."""
 
 
+class InvalidInput(ProjGeoError, ValueError):
+    """An input document or value that is missing or malformed."""
+
+
 class DimensionMismatch(ProjGeoError):
     """Operands live in different dimensions."""
 

@@ -14,6 +14,8 @@ stereographic projection; under that identification projective maps act
 as Mobius transformations z -> (a z + b)/(c z + d).
 """
 
+from __future__ import annotations
+
 import cmath
 import math
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from projgeo.errors import (
     DegenerateProjection,
     DimensionMismatch,
     FieldMismatch,
+    InvalidInput,
     InvalidRange,
     SamePoint,
     SingularCoefficients,
@@ -52,6 +55,14 @@ from projgeo.projective import (
 _NORMAL_MIN = np.finfo(np.float64).tiny
 
 
+def _require_unit(rows: np.ndarray) -> np.ndarray:
+    """``rows``, after checking that each row (or the one vector) has unit
+    norm to 1e-12; a row with an inf or nan entry fails too."""
+    if not np.all(np.abs(np.linalg.norm(rows, axis=-1) - 1.0) <= 1e-12):
+        raise InvalidInput("sphere points must have unit norm")
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
     """A unit vector of F^{n_amb}, i.e. a point of the unit sphere."""
@@ -66,8 +77,7 @@ class SpherePoint:
             raise DimensionMismatch(
                 f"expected {self.n_amb} coordinates, got shape {arr.shape}"
             )
-        if abs(norm2(arr) - 1.0) > 1e-12:
-            raise ValueError("sphere points must have unit norm")
+        _require_unit(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
 
@@ -125,9 +135,12 @@ def extended_equal(a, b, eps: float = DEFAULT_TOLERANCE.eps_abs) -> bool:
     return abs(ea.z - eb.z) <= eps
 
 
-def hopf_project(x: SpherePoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
-    """The point of projective space on the line through a sphere point."""
-    return _point_of(x.x, tol)
+def hopf_project(x, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
+    """The point of projective space on the line through a sphere point:
+    a SpherePoint, or a unit vector such as a row of a fiber sample."""
+    if isinstance(x, SpherePoint):
+        return _point_of(x.x, tol)
+    return _point_of(_require_unit(as_vector(x)), tol)
 
 
 def real_fiber(p: ProjPoint) -> tuple[SpherePoint, SpherePoint]:
@@ -144,19 +157,22 @@ def real_fiber(p: ProjPoint) -> tuple[SpherePoint, SpherePoint]:
     )
 
 
-def complex_fiber_sample(p: ProjPoint, m: int) -> list[SpherePoint]:
-    """m equally spaced points on the circle fiber over a complex point.
+def complex_fiber_sample(p: ProjPoint, m: int) -> np.ndarray:
+    """m equally spaced points on the circle fiber over a complex point,
+    as the rows of a read-only complex (m, n+1) array.
 
-    Sample t is e^{2 pi i t / m} h for t = 0, ..., m-1; every sample
-    projects back to ``p`` and chord lengths follow the circle geometry
-    |x_t - x_s| = 2 |sin(pi (t - s) / m)|.
+    Row t is e^{2 pi i t / m} h for t = 0, ..., m-1; every row is a unit
+    vector that projects back to ``p``, and chord lengths follow the
+    circle geometry |x_t - x_s| = 2 |sin(pi (t - s) / m)|.
     """
     if p.field != COMPLEX:
         raise FieldMismatch("circle fibers exist over the complex field only")
     if m < 1:
         raise InvalidRange("need at least one sample")
     phases = np.exp(2j * np.pi * np.arange(m) / m)
-    return [SpherePoint(COMPLEX, p.n + 1, ph * p.h) for ph in phases]
+    rows = _require_unit(phases[:, None] * p.h)
+    rows.setflags(write=False)
+    return rows
 
 
 def fibers_min_distance(

@@ -24,6 +24,7 @@ import json
 
 import numpy as np
 
+from projgeo.errors import InvalidInput
 from projgeo.grassmann import Subspace, subspace_from_span
 from projgeo.hopf_manifold import HopfPoint, ScaleGroup, quotient_project
 from projgeo.hopf_fibration import INFINITY, ExtendedComplex
@@ -46,9 +47,12 @@ from projgeo.projective import (
 )
 
 
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double round-trips
+
+
 def format_float(x) -> str:
     """A float as text at 17 significant digits, enough to round-trip."""
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def dumps(value) -> str:
@@ -147,7 +151,7 @@ def _scalar_from(x, field: str):
             return complex(float(re), float(im))
         return complex(float(x), 0.0)
     if isinstance(x, (list, tuple)):
-        raise ValueError("real-field scalars must be plain numbers")
+        raise InvalidInput("real-field scalars must be plain numbers")
     return float(x)
 
 
@@ -162,12 +166,22 @@ def _rows_from(rows, field: str) -> np.ndarray:
 def _field_from(doc: dict) -> str:
     field = doc["field"]
     if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field {field!r}")
+        raise InvalidInput(f"unknown field {field!r}")
     return field
+
+
+class _Document(dict):
+    """A wire-format dict; a missing field raises InvalidInput naming it and the kind."""
+
+    def __missing__(self, key):
+        kind = self.get("kind")
+        where = "document" if kind is None else f"{kind} document"
+        raise InvalidInput(f"{where} has no field {key!r}")
 
 
 def decode(doc: dict, tol: Tolerance = DEFAULT_TOLERANCE):
     """Object for a wire-format dict; canonicalizes as it builds."""
+    doc = _Document(doc)
     kind = doc["kind"]
     if kind == "proj_point":
         field = _field_from(doc)
@@ -182,7 +196,7 @@ def decode(doc: dict, tol: Tolerance = DEFAULT_TOLERANCE):
         field = _field_from(doc)
         s = subspace_from_span(_rows_from(doc["basis"], field).T, tol, field)
         if s.k != int(doc["k"]):
-            raise ValueError(f"basis spans dimension {s.k}, document says {doc['k']}")
+            raise InvalidInput(f"basis spans dimension {s.k}, document says {doc['k']}")
         return s
     if kind == "hopf_point":
         field = _field_from(doc)
@@ -200,4 +214,4 @@ def decode(doc: dict, tol: Tolerance = DEFAULT_TOLERANCE):
         if z == "inf":
             return INFINITY
         return ExtendedComplex(_scalar_from(z, COMPLEX))
-    raise ValueError(f"unknown kind {kind!r}")
+    raise InvalidInput(f"unknown kind {kind!r}")

@@ -7,8 +7,10 @@ them as a (passed, total) pair.  The sampling helpers at the top double
 as reusable generators for the pytest suite.
 """
 
+from __future__ import annotations
+
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -405,7 +407,7 @@ def _prop_circle_fiber(rng, i, tol, lam):
         for x in samples
     )
     t1, t2 = int(rng.integers(0, m)), int(rng.integers(0, m))
-    chord = numerics.norm2(samples[t1].x - samples[t2].x)
+    chord = numerics.norm2(samples[t1] - samples[t2])
     expected = 2.0 * abs(np.sin(np.pi * (t1 - t2) / m))
     return good and abs(chord - expected) < 1e-12
 
@@ -457,11 +459,10 @@ class PropertyResult(NamedTuple):
     total: int
 
 
-# one trial: (rng, trial index, tol, lam) -> passed
-_Trial = Callable[[np.random.Generator, int, Tolerance, complex], bool]
-
-# An optional third item caps the number of trials of a costly property.
-SUITES: dict[str, list[tuple[str, _Trial] | tuple[str, _Trial, int]]] = {
+# Each entry is (name, trial) or (name, trial, cap): a trial is
+# (rng, trial index, tol, lam) -> passed, and the cap bounds the number of
+# trials of a costly property.
+SUITES: dict[str, list[tuple]] = {
     "projective": [
         ("scalar_invariance", _prop_scalar_invariance),
         ("functoriality", _prop_functoriality),

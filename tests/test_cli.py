@@ -134,7 +134,7 @@ def test_fiber_complex_rows_match_library(docs):
         vals = [float(x) for x in line.split(",")]
         assert vals[0] == t
         got = np.array([vals[1] + 1j * vals[2], vals[3] + 1j * vals[4]])
-        assert np.max(np.abs(got - samples[t].x)) < 1e-16
+        assert np.max(np.abs(got - samples[t])) < 1e-16
 
 
 def test_fiber_stereo_adds_columns(docs):
@@ -421,3 +421,123 @@ def test_check_at_a_huge_lambda_prints_counts_not_a_traceback():
     for line in lines[:-1]:
         assert re.fullmatch(r"hopf-manifold\.\w+: \d+/100 (PASS|FAIL)", line)
     assert lines[-1] in ("overall: PASS", "overall: FAIL")
+
+
+# --- pinned contracts of the document reader and the fiber writer ------------
+
+DOCS = {
+    "vector": '{"kind": "vector", "field": "real", "v": [2.0, 0.5]}',
+    "matrix": '{"kind": "matrix", "field": "real", "M": [[0.5], [0.25]]}',
+    "point": '{"kind": "proj_point", "field": "real", "n": 2, "h": [1.0, 0.0, 0.0]}',
+    "cp1": '{"kind": "proj_point", "field": "complex", "n": 1, "h": [[0.6, -0.3], [0.2, 0.7]]}',
+    "subspace": '{"kind": "subspace", "field": "real", "n": 3, "k": 1, "basis": [[1, 0, 0]]}',
+    "hopf_point": '{"kind": "hopf_point", "field": "real", "n": 2, "lambda": 2, "rep": [1.0, 0.0]}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fiber", "vector"], "fiber expects a proj_point document"),
+        (["chart", "embed", "point", "--j", "1"], "embed expects a vector document"),
+        (["chart", "embed", "matrix", "--j", "1"], "embed expects a vector document"),
+        (["chart", "extract", "vector", "--j", "1"], "extract expects a proj_point document"),
+        (["chart", "transition", "matrix", "--j1", "1", "--j2", "2"],
+         "transition expects a vector document"),
+        (["grassmann", "complement", "point"], "complement expects a subspace document"),
+        (["grassmann", "annihilator", "vector"], "annihilator expects a subspace document"),
+        (["grassmann", "graph", "--base", "point", "--matrix", "matrix"],
+         "--base must be a subspace document"),
+        (["grassmann", "graph", "--base", "subspace", "--complement", "matrix",
+          "--matrix", "matrix"], "--complement must be a subspace document"),
+        (["grassmann", "graph", "--base", "subspace", "--matrix", "vector"],
+         "--matrix must be a matrix document"),
+        (["grassmann", "coords", "hopf_point", "--base", "subspace"],
+         "coords expects a subspace document"),
+        (["hopf", "project", "matrix"], "project expects a vector document"),
+        (["hopf", "equal", "vector", "point"], "equal expects two vector documents"),
+        (["hopf", "equal", "matrix", "vector"], "equal expects two vector documents"),
+        (["hopf", "to-projective", "vector"], "to-projective expects a hopf_point document"),
+        (["link", "cp1", "subspace"], "link expects two proj_point documents"),
+        (["apply", "point", "point"],
+         "cannot apply a ProjPoint to a ProjPoint; use a proj_map on "
+         "proj_point/extended_complex, or a matrix on subspace/hopf_point"),
+    ],
+)
+def test_wrong_document_kind_exits_3_with_its_message(tmp_path, argv, message):
+    args = [write_doc(tmp_path / f"{a}.json", DOCS[a]) if a in DOCS else a for a in argv]
+    res = run_cli(*args)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr == f"projgeo: {message}\n"
+
+
+FIBER_DOCS = {
+    "real-n2": '{"kind": "proj_point", "field": "real", "n": 2, "h": [0.3, -0.0, -1.7]}',
+    "cp1": DOCS["cp1"],
+    "complex-n3": '{"kind": "proj_point", "field": "complex", "n": 3, '
+                  '"h": [[1.0, 2.0], [-0.5, 0.25], [0.0, -3.0], [0.1, 0.0]]}',
+}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, digest",
+    [
+        ("real-n2", [], "df354ad20c74d10e8475e5ee666bf7a7ec72a64844e03b9c2baf18026e318c4e"),
+        ("cp1", ["--samples", "4096", "--stereo"],
+         "fec8fc321aacfce0a5ff94c4ff4e6adbe326171d2b19814ce0695c4ef04c6827"),
+        ("complex-n3", ["--samples", "100"],
+         "427244ce4e78ac7766290ae5f9e3fffd54036df713bbaf1e721d248f0d54b6bf"),
+    ],
+)
+def test_fiber_csv_bytes_are_pinned(tmp_path, doc, flags, digest):
+    import hashlib
+
+    path = write_doc(tmp_path / "p.json", FIBER_DOCS[doc])
+    res = subprocess.run([sys.executable, "-m", "projgeo", "fiber", path, *flags],
+                         capture_output=True)
+    assert res.returncode == 0 and res.stderr == b""
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "kind, missing",
+    [
+        ("proj_point", "h"),
+        ("proj_point", "field"),
+        ("proj_map", "M"),
+        ("proj_subspace", "basis"),
+        ("subspace", "k"),
+        ("hopf_point", "lambda"),
+        ("hopf_point", "rep"),
+        ("vector", "v"),
+        ("matrix", "M"),
+        ("extended_complex", "z"),
+        ("proj_point", "kind"),
+    ],
+)
+def test_missing_field_exits_2_naming_kind_and_field(tmp_path, kind, missing):
+    full = {
+        "proj_point": {"field": "real", "n": 1, "h": [1.0, 0.0]},
+        "proj_map": {"field": "real", "n": 1, "M": [[1.0, 0.0], [0.0, 1.0]]},
+        "proj_subspace": {"field": "real", "n": 2, "basis": [[1, 0, 0]]},
+        "subspace": {"field": "real", "n": 3, "k": 1, "basis": [[1, 0, 0]]},
+        "hopf_point": {"field": "real", "n": 2, "lambda": 2, "rep": [1.0, 0.0]},
+        "vector": {"field": "real", "v": [2.0, 0.5]},
+        "matrix": {"field": "real", "M": [[0.5], [0.25]]},
+        "extended_complex": {"z": [2.0, 1.0]},
+    }[kind]
+    doc = {k: v for k, v in {"kind": kind, **full}.items() if k != missing}
+    path = write_doc(tmp_path / "doc.json", json.dumps(doc))
+    res = run_cli("apply", path, path)
+    where = "document" if missing == "kind" else f"{kind} document"
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"projgeo: {where} has no field '{missing}'\n"
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    code = "import sys, projgeo.cli; print('numpy.random' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

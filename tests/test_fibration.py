@@ -15,6 +15,7 @@ from projgeo import (
     InvalidRange,
     SamePoint,
     SingularCoefficients,
+    SpherePoint,
     Unresolved,
     complex_fiber_sample,
     cp1_affine,
@@ -94,7 +95,7 @@ def test_complex_fiber_axis_quarters():
     samples = complex_fiber_sample(cpoint(1.0, 0.0), 4)
     expected = [(1, 0), (1j, 0), (-1, 0), (-1j, 0)]
     for got, want in zip(samples, expected):
-        assert np.max(np.abs(got.x - np.array(want, dtype=complex))) < 1e-15
+        assert np.max(np.abs(got - np.array(want, dtype=complex))) < 1e-15
 
 
 def test_complex_fiber_projects_to_base():
@@ -111,8 +112,35 @@ def test_complex_fiber_chord_lengths():
     samples = complex_fiber_sample(p, m)
     for _ in range(20):
         t1, t2 = rng.integers(0, m, size=2)
-        chord = np.linalg.norm(samples[t1].x - samples[t2].x)
+        chord = np.linalg.norm(samples[t1] - samples[t2])
         assert abs(chord - 2.0 * abs(np.sin(np.pi * (t1 - t2) / m))) < 1e-12
+
+
+def test_complex_fiber_sample_is_one_read_only_array_of_unit_rows():
+    p = point_from_vector(np.array([1.0, 2.0 - 1.0j, 0.5j, -3.0]))
+    rows = complex_fiber_sample(p, 37)
+    assert isinstance(rows, np.ndarray)
+    assert rows.shape == (37, 4) and rows.dtype == np.complex128
+    assert not rows.flags.writeable
+    assert np.max(np.abs(np.linalg.norm(rows, axis=1) - 1.0)) <= 1e-12
+    assert np.array_equal(rows[0], p.h)
+
+
+def test_hopf_project_takes_rows_and_rejects_non_unit_or_non_finite_ones():
+    p = cpoint(1.0, 2.0j)
+    for row in complex_fiber_sample(p, 8):
+        assert point_distance(hopf_project(row), p) < 1e-15
+    for bad in ([2.0, 0.0j], [1.0 + 1e-11, 0.0j], [np.nan, 0.0j], [np.inf, 0.0j]):
+        with pytest.raises(ValueError):
+            hopf_project(np.array(bad))
+    with pytest.raises(ValueError, match="unit norm"):
+        hopf_project(np.array([2.0, 0.0j]))
+
+
+def test_sphere_point_rejects_a_nan_entry():
+    # NaN - 1 compares false with any bound, so the unit test must be "<= bound"
+    with pytest.raises(ValueError, match="unit norm"):
+        SpherePoint("real", 2, np.array([np.nan, 0.0]))
 
 
 def test_complex_fiber_guards():

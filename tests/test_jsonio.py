@@ -13,6 +13,7 @@ from projgeo import (
     quotient_project,
     subspace_from_span,
 )
+from projgeo.errors import InvalidInput
 from projgeo.jsonio import decode, dumps, encode
 
 
@@ -109,5 +110,6 @@ def test_vector_and_matrix_round_trip():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         decode({"kind": "mystery"})
-    with pytest.raises(KeyError):
+    # a missing field is named, with the kind when there is one
+    with pytest.raises(InvalidInput, match="^document has no field 'kind'$"):
         decode({"field": "real"})
