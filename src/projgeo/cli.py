@@ -40,41 +40,37 @@ ENV_EPS = "PROJGEO_EPS"
 
 
 def _parse_scalar(text: str):
-    """Parse a real or complex scalar; accepts both 2i and 2j spellings."""
+    """Parse the real or complex --lambda; accepts both 2i and 2j spellings."""
     try:
         return float(text)
     except ValueError:
+        pass
+    try:
         return complex(text.replace("i", "j").replace(" ", ""))
+    except ValueError:
+        raise InvalidInput(f"--lambda must be a real or complex number, got {text!r}") from None
 
 
 def _tolerance(args) -> Tolerance:
-    eps = args.eps
+    """Tolerance from the flags, which stay unset when absent; --eps falls back to $PROJGEO_EPS."""
+    eps = getattr(args, "eps", None)
     if eps is None:
         env = os.environ.get(ENV_EPS)
         eps = float(env) if env else DEFAULT_TOLERANCE.eps_abs
-    cond = args.cond_max if args.cond_max is not None else DEFAULT_TOLERANCE.cond_max
-    return Tolerance(eps, cond)
+    return Tolerance(eps, getattr(args, "cond_max", DEFAULT_TOLERANCE.cond_max))
 
 
 def _read(tol: Tolerance, *paths: str, want=object, error: str = ""):
     """Decode the JSON document at each path, then check that every result
-    is a ``want``: a class, or an array rank (1 vector, 2 matrix).  Raises
+    is a ``want`` (see :func:`jsonio.matches`).  Raises
     DimensionMismatch(error) when one is not.  Returns the one object, or
     a list when given several paths."""
     objs = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InvalidInput("top-level JSON value must be an object")
-        objs.append(jsonio.decode(doc, tol))
-    for obj in objs:
-        if isinstance(want, int):
-            ok = isinstance(obj, np.ndarray) and obj.ndim == want
-        else:
-            ok = isinstance(obj, want)
-        if not ok:
-            raise DimensionMismatch(error)
+            objs.append(jsonio.decode(json.load(fh), tol))
+    if not all(jsonio.matches(obj, want) for obj in objs):
+        raise DimensionMismatch(error)
     return objs[0] if len(objs) == 1 else objs
 
 
@@ -252,11 +248,16 @@ def _cmd_check(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # A group (chart, grassmann, hopf) and each of its sub-commands take these
+    # flags.  An absent flag sets nothing, so one given before the sub-command
+    # is kept, and one given after it wins.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--eps", type=float, default=None,
+    common.add_argument("--eps", type=float, default=argparse.SUPPRESS,
                         help=f"absolute tolerance (default 1e-9, or ${ENV_EPS})")
-    common.add_argument("--cond-max", type=float, default=None, dest="cond_max",
+    common.add_argument("--cond-max", type=float, default=argparse.SUPPRESS, dest="cond_max",
                         help="condition-estimate cap (default 1e12)")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--lambda", dest="lam", default="2", help="the scale lambda (default 2)")
 
     parser = argparse.ArgumentParser(
         prog="projgeo",
@@ -317,17 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="scalar-power quotient operations")
     p_hopf.set_defaults(func=_cmd_hopf)
     hopf_sub = p_hopf.add_subparsers(dest="action", required=True)
-    h_proj = hopf_sub.add_parser("project", parents=[common])
+    h_proj = hopf_sub.add_parser("project", parents=[common, scale])
     h_proj.add_argument("vector")
-    h_proj.add_argument("--lambda", dest="lam", default="2")
     h_proj.add_argument("--field", choices=(REAL, COMPLEX), default=None)
-    h_eq = hopf_sub.add_parser("equal", parents=[common])
+    h_eq = hopf_sub.add_parser("equal", parents=[common, scale])
     h_eq.add_argument("vector")
     h_eq.add_argument("other")
-    h_eq.add_argument("--lambda", dest="lam", default="2")
-    h_top = hopf_sub.add_parser("to-projective", parents=[common])
+    h_top = hopf_sub.add_parser("to-projective", parents=[common, scale])
     h_top.add_argument("vector", help="hopf_point document")
-    h_top.add_argument("--lambda", dest="lam", default="2")
 
     p_link = sub.add_parser("link", parents=[common],
                             help="linking number of two CP^1 fibers, by counting crossings")
@@ -336,12 +334,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--samples", type=int, default=2048)
     p_link.set_defaults(func=_cmd_link)
 
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[common, scale],
                              help="run the seeded property suites")
     p_check.add_argument("--suite", choices=suites.SUITE_NAMES, required=True)
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--lambda", dest="lam", default="2")
     p_check.set_defaults(func=_cmd_check)
 
     return parser
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError, ProjGeoError) as exc:
+    except (json.JSONDecodeError, OSError, ValueError, ProjGeoError) as exc:
         print(f"projgeo: {exc}", file=sys.stderr)
         if isinstance(exc, (DimensionMismatch, FieldMismatch, ShapeMismatch, NotSquare, SamePoint)):
             return 3

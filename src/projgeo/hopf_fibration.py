@@ -106,7 +106,7 @@ class ExtendedComplex:
         if self.z is not None:
             val = complex(self.z)
             if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                raise ValueError("finite value required; use INFINITY otherwise")
+                raise InvalidInput(f"finite value required, got {self.z}; use INFINITY otherwise")
             object.__setattr__(self, "z", val)
 
     @property

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from projgeo.errors import DimensionMismatch, FieldMismatch, InvalidRange, NotCanonical, ZeroVector
+from projgeo.errors import (
+    DimensionMismatch, FieldMismatch, InvalidInput, InvalidRange, NotCanonical, ZeroVector
+)
 from projgeo.numerics import (
     COMPLEX,
     DEFAULT_TOLERANCE,
@@ -53,9 +55,9 @@ class ScaleGroup:
     def __post_init__(self):
         val = complex(self.lam)
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise ValueError("scale must be finite")
+            raise InvalidInput(f"scale must be finite, got {self.lam}")
         if abs(val) < 1.0 + 1e-9:  # a fixed domain bound, not a comparison at eps
-            raise ValueError("scale must have absolute value larger than 1")
+            raise InvalidInput(f"scale must have absolute value larger than 1, got {self.lam}")
         # store a real scale as a plain float so real vectors stay real
         object.__setattr__(self, "lam", float(val.real) if val.imag == 0.0 else val)
 

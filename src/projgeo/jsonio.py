@@ -2,7 +2,7 @@
 
 Every document carries a ``kind`` tag.  Scalars are plain numbers over
 the real field and two-element ``[re, im]`` arrays over the complex
-field; the shapes are:
+field; the shapes, with their fields in wire order, are:
 
     {"kind": "proj_point",    "field", "n", "h": [scalar, ...]}
     {"kind": "proj_map",      "field", "n", "M": [[scalar, ...], ...]}   row-major
@@ -13,18 +13,24 @@ field; the shapes are:
     {"kind": "matrix",        "field", "M": [[scalar, ...], ...]}        row-major
     {"kind": "extended_complex", "z": [re, im] or "inf"}
 
-Decoding is forgiving about canonical form: homogeneous coordinates may
-be any nonzero representative and basis columns any spanning set; the
-decoder canonicalizes.  :func:`dumps` prints every float with
-:func:`format_float`, at 17 significant digits, so that doubles survive
-a round trip through text.
+Decoding canonicalizes (any nonzero representative and any spanning set
+will do) and checks the rest, raising :class:`InvalidInput` that names the
+kind, the field and the bad value: every field above is required and no
+other key is accepted; ``n`` and ``k`` are JSON integers equal to those of
+the decoded object; numbers are finite, and never booleans, strings or
+``null``; the rows of a matrix or basis have one length.  A complex scalar
+may also be a plain number, and ``lambda`` is complex over either field.
+:func:`dumps` prints every float at 17 significant digits, so that doubles
+survive a round trip through text.
 """
 
 import json
+import reprlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from projgeo.errors import InvalidInput
+from projgeo.errors import InvalidInput, ProjGeoError
 from projgeo.grassmann import Subspace, subspace_from_span
 from projgeo.hopf_manifold import HopfPoint, ScaleGroup, quotient_project
 from projgeo.hopf_fibration import INFINITY, ExtendedComplex
@@ -50,11 +56,6 @@ from projgeo.projective import (
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double round-trips
 
 
-def format_float(x) -> str:
-    """A float as text at 17 significant digits, enough to round-trip."""
-    return FLOAT_FORMAT % float(x)
-
-
 def dumps(value) -> str:
     """Deterministic JSON text with floats at 17 significant digits."""
     out: list[str] = []
@@ -72,7 +73,7 @@ def _write(value, out: list[str]) -> None:
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        out.append(format_float(value))
+        out.append(FLOAT_FORMAT % float(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
@@ -93,125 +94,123 @@ def _write(value, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _scalar(x, field: str):
-    if field == COMPLEX:
-        z = complex(x)
-        return [z.real, z.imag]
-    return float(x)
+def _json(x):
+    """A payload value as JSON: arrays as nested lists, complex numbers as [re, im] pairs."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, list):
+        return [_json(e) for e in x]
+    return [x.real, x.imag] if isinstance(x, complex) else x
 
 
-def _vector(v: np.ndarray, field: str) -> list:
-    return [_scalar(x, field) for x in v]
+def _expect(ok: bool, what: str, x):
+    """``x`` when ``ok``; else InvalidInput naming what was expected and what came."""
+    if not ok:
+        raise InvalidInput(f"expected {what}, got {reprlib.repr(x)}")
+    return x
 
 
-def _rows(m: np.ndarray, field: str) -> list:
-    return [_vector(row, field) for row in m]
-
-
-def _cols(m: np.ndarray, field: str) -> list:
-    return [_vector(col, field) for col in m.T]
-
-
-def encode(obj) -> dict:
-    """JSON-ready dict for any wire-format object."""
-    if isinstance(obj, ProjPoint):
-        return {"kind": "proj_point", "field": obj.field, "n": obj.n,
-                "h": _vector(obj.h, obj.field)}
-    if isinstance(obj, ProjMap):
-        return {"kind": "proj_map", "field": obj.field, "n": obj.n,
-                "M": _rows(obj.M, obj.field)}
-    if isinstance(obj, ProjSubspace):
-        return {"kind": "proj_subspace", "field": obj.field, "n": obj.n,
-                "basis": _cols(obj.basis, obj.field)}
-    if isinstance(obj, Subspace):
-        return {"kind": "subspace", "field": obj.field, "n": obj.n, "k": obj.k,
-                "basis": _cols(obj.basis, obj.field)}
-    if isinstance(obj, HopfPoint):
-        field = obj.field
-        lam_field = REAL if obj.group.is_real else COMPLEX
-        return {"kind": "hopf_point", "field": field, "n": obj.n,
-                "lambda": _scalar(obj.group.lam, lam_field),
-                "rep": _vector(obj.rep, field)}
-    if isinstance(obj, ExtendedComplex):
-        return {"kind": "extended_complex",
-                "z": "inf" if obj.is_infinity else [obj.z.real, obj.z.imag]}
-    if isinstance(obj, np.ndarray):
-        field = field_of(obj)
-        if obj.ndim == 1:
-            return {"kind": "vector", "field": field, "v": _vector(obj, field)}
-        if obj.ndim == 2:
-            return {"kind": "matrix", "field": field, "M": _rows(obj, field)}
-    raise TypeError(f"cannot encode {type(obj).__name__}")
+def _list(x) -> list:
+    return _expect(isinstance(x, list), "a list", x)
 
 
 def _scalar_from(x, field: str):
-    if field == COMPLEX:
-        if isinstance(x, (list, tuple)):
-            re, im = x
-            return complex(float(re), float(im))
-        return complex(float(x), 0.0)
-    if isinstance(x, (list, tuple)):
-        raise InvalidInput("real-field scalars must be plain numbers")
-    return float(x)
+    if field == COMPLEX and isinstance(x, list):
+        re, im = _expect(len(x) == 2, "a number or an [re, im] pair", x)
+        return complex(_scalar_from(re, REAL), _scalar_from(im, REAL))
+    return float(_expect(isinstance(x, (int, float)) and not isinstance(x, bool), "a number", x))
 
 
 def _vector_from(values, field: str) -> np.ndarray:
-    return as_vector([_scalar_from(x, field) for x in values], field)
+    return as_vector([_scalar_from(x, field) for x in _list(values)], field)
 
 
 def _rows_from(rows, field: str) -> np.ndarray:
-    return as_matrix([[_scalar_from(x, field) for x in row] for row in rows], field)
+    rows = [[_scalar_from(x, field) for x in _list(row)] for row in _list(rows)]
+    if len({len(row) for row in rows}) > 1:
+        raise InvalidInput(f"rows of unequal lengths {reprlib.repr([len(row) for row in rows])}")
+    return as_matrix(rows, field)
 
 
-def _field_from(doc: dict) -> str:
-    field = doc["field"]
-    if field not in (REAL, COMPLEX):
-        raise InvalidInput(f"unknown field {field!r}")
-    return field
+# A field's wire type is fixed by its name, whatever the kind: read(value, field).
+_READ = {
+    "field": lambda x, _: _expect(x in (REAL, COMPLEX), "'real' or 'complex'", x),
+    "n": lambda x, _: _expect(type(x) is int, "an integer", x),
+    "k": lambda x, _: _expect(type(x) is int, "an integer", x),
+    "h": _vector_from,
+    "v": _vector_from,
+    "rep": _vector_from,
+    "M": _rows_from,
+    "basis": _rows_from,  # the columns of the basis, each as a row
+    "lambda": lambda x, _: ScaleGroup(_scalar_from(x, COMPLEX)),
+    "z": lambda x, _: INFINITY if x == "inf" else ExtendedComplex(_scalar_from(x, COMPLEX)),
+}
 
 
-class _Document(dict):
-    """A wire-format dict; a missing field raises InvalidInput naming it and the kind."""
-
-    def __missing__(self, key):
-        kind = self.get("kind")
-        where = "document" if kind is None else f"{kind} document"
-        raise InvalidInput(f"{where} has no field {key!r}")
+class _Kind(NamedTuple):
+    want: type | int  # the class, or the array rank (1 vector, 2 matrix)
+    fields: tuple[str, ...]  # after "kind", in wire order
+    payload: Callable  # object -> its field values, in wire order
+    build: Callable  # (field values by name, tol) -> object
 
 
-def decode(doc: dict, tol: Tolerance = DEFAULT_TOLERANCE):
-    """Object for a wire-format dict; canonicalizes as it builds."""
-    doc = _Document(doc)
+_KINDS = {
+    "proj_point": _Kind(ProjPoint, ("field", "n", "h"), lambda p: (p.field, p.n, p.h),
+                        lambda d, tol: point_from_vector(d["h"], tol, d["field"])),
+    "proj_map": _Kind(ProjMap, ("field", "n", "M"), lambda t: (t.field, t.n, t.M),
+                      lambda d, tol: map_from_matrix(d["M"], tol, d["field"])),
+    "proj_subspace": _Kind(ProjSubspace, ("field", "n", "basis"),
+                           lambda s: (s.field, s.n, s.basis.T),
+                           lambda d, tol: proj_subspace_from_span(d["basis"].T, tol, d["field"])),
+    "subspace": _Kind(Subspace, ("field", "n", "k", "basis"),
+                      lambda s: (s.field, s.n, s.k, s.basis.T),
+                      lambda d, tol: subspace_from_span(d["basis"].T, tol, d["field"])),
+    "hopf_point": _Kind(HopfPoint, ("field", "n", "lambda", "rep"),
+                        lambda h: (h.field, h.n, h.group.lam, h.rep),
+                        lambda d, tol: quotient_project(d["rep"], d["lambda"], tol, d["field"])),
+    "vector": _Kind(1, ("field", "v"), lambda v: (field_of(v), v), lambda d, tol: d["v"]),
+    "matrix": _Kind(2, ("field", "M"), lambda m: (field_of(m), m), lambda d, tol: d["M"]),
+    "extended_complex": _Kind(ExtendedComplex, ("z",),
+                              lambda z: ("inf" if z.is_infinity else z.z,), lambda d, tol: d["z"]),
+}
+
+
+def matches(obj, want) -> bool:
+    """Whether ``obj`` is a ``want``: a class, or an array rank (1 vector, 2 matrix)."""
+    if isinstance(want, int):
+        return isinstance(obj, np.ndarray) and obj.ndim == want
+    return isinstance(obj, want)
+
+
+def encode(obj) -> dict:
+    """JSON-ready dict for any wire-format object, its keys in wire order."""
+    for kind, spec in _KINDS.items():
+        if matches(obj, spec.want):
+            return dict(zip(("kind", *spec.fields), (kind, *map(_json, spec.payload(obj)))))
+    raise TypeError(f"cannot encode {type(obj).__name__}")
+
+
+def decode(doc, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Object for a wire-format dict, checked as the module docstring says; canonicalized."""
+    _expect(isinstance(doc, dict), "a JSON object", doc)
+    if "kind" not in doc:
+        raise InvalidInput("document has no field 'kind'")
     kind = doc["kind"]
-    if kind == "proj_point":
-        field = _field_from(doc)
-        return point_from_vector(_vector_from(doc["h"], field), tol, field)
-    if kind == "proj_map":
-        field = _field_from(doc)
-        return map_from_matrix(_rows_from(doc["M"], field), tol, field)
-    if kind == "proj_subspace":
-        field = _field_from(doc)
-        return proj_subspace_from_span(_rows_from(doc["basis"], field).T, tol, field)
-    if kind == "subspace":
-        field = _field_from(doc)
-        s = subspace_from_span(_rows_from(doc["basis"], field).T, tol, field)
-        if s.k != int(doc["k"]):
-            raise InvalidInput(f"basis spans dimension {s.k}, document says {doc['k']}")
-        return s
-    if kind == "hopf_point":
-        field = _field_from(doc)
-        lam = _scalar_from(doc["lambda"], COMPLEX)
-        group = ScaleGroup(lam.real if lam.imag == 0.0 else lam)
-        return quotient_project(_vector_from(doc["rep"], field), group, tol, field)
-    if kind == "vector":
-        field = _field_from(doc)
-        return _vector_from(doc["v"], field)
-    if kind == "matrix":
-        field = _field_from(doc)
-        return _rows_from(doc["M"], field)
-    if kind == "extended_complex":
-        z = doc["z"]
-        if z == "inf":
-            return INFINITY
-        return ExtendedComplex(_scalar_from(z, COMPLEX))
-    raise InvalidInput(f"unknown kind {kind!r}")
+    spec = _KINDS[_expect(isinstance(kind, str) and kind in _KINDS, "a known kind", kind)]
+    for name in doc:
+        if name != "kind" and name not in spec.fields:
+            raise InvalidInput(f"{kind} document has unknown field {name!r}")
+    values = {}
+    for name in spec.fields:
+        if name not in doc:
+            raise InvalidInput(f"{kind} document has no field {name!r}")
+        try:
+            values[name] = _READ[name](doc[name], values.get("field"))
+        except (ProjGeoError, OverflowError) as exc:  # OverflowError: an integer past 1.8e308
+            raise InvalidInput(f"{kind} document field {name!r}: {exc}") from None
+    obj = spec.build(values, tol)
+    for name in ("n", "k"):
+        if name in values and values[name] != getattr(obj, name):
+            raise InvalidInput(f"{kind} document field {name!r}: declared {values[name]}, "
+                               f"but its data give {getattr(obj, name)}")
+    return obj

@@ -15,6 +15,7 @@ import numpy as np
 from projgeo.errors import (
     FieldMismatch,
     IllConditioned,
+    InvalidInput,
     NotSquare,
     RankDeficientToZero,
     ShapeMismatch,
@@ -107,7 +108,7 @@ def _coerce(arr: np.ndarray, field: str | None) -> np.ndarray:
         raise FieldMismatch("complex entries cannot be coerced to the real field")
     out = np.asarray(arr, dtype=dtype_for(field))
     if not np.isfinite(out).all():
-        raise ValueError("entries must be finite")
+        raise InvalidInput(f"entries must be finite, got {out[~np.isfinite(out)].flat[0]}")
     return out
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from projgeo import cli, suites
+from projgeo import cli, jsonio, suites
 from projgeo.errors import ZeroVector
 from projgeo.jsonio import dumps, encode
 from projgeo import map_from_matrix, point_from_vector, quotient_project, subspace_from_span
@@ -369,7 +369,8 @@ def test_chart_extract_near_tie_at_env_eps(docs):
         (["--trials", "0"], "trials must be at least 1"),
         (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
         (["--seed", str(2 ** 64)], "seed must fit in 64 unsigned bits"),
-        (["--lambda", "0.5"], "scale must have absolute value larger than 1"),
+        (["--lambda", "0.5"], "scale must have absolute value larger than 1, got 0.5"),
+        (["--lambda", "1+1e-9"], "--lambda must be a real or complex number, got '1+1e-9'"),
     ],
 )
 def test_check_argument_guards_exit_2(args, message):
@@ -500,40 +501,114 @@ def test_fiber_csv_bytes_are_pinned(tmp_path, doc, flags, digest):
     assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
+FULL_DOCS = {
+    "proj_point": {"field": "real", "n": 1, "h": [1.0, 0.0]},
+    "proj_map": {"field": "real", "n": 1, "M": [[1.0, 0.0], [0.0, 1.0]]},
+    "proj_subspace": {"field": "real", "n": 2, "basis": [[1, 0, 0]]},
+    "subspace": {"field": "real", "n": 3, "k": 1, "basis": [[1, 0, 0]]},
+    "hopf_point": {"field": "real", "n": 2, "lambda": 2, "rep": [1.0, 0.0]},
+    "vector": {"field": "real", "v": [2.0, 0.5]},
+    "matrix": {"field": "real", "M": [[0.5], [0.25]]},
+    "extended_complex": {"z": [2.0, 1.0]},
+}
+
+
 @pytest.mark.parametrize(
     "kind, missing",
-    [
-        ("proj_point", "h"),
-        ("proj_point", "field"),
-        ("proj_map", "M"),
-        ("proj_subspace", "basis"),
-        ("subspace", "k"),
-        ("hopf_point", "lambda"),
-        ("hopf_point", "rep"),
-        ("vector", "v"),
-        ("matrix", "M"),
-        ("extended_complex", "z"),
-        ("proj_point", "kind"),
-    ],
+    [(kind, name) for kind, spec in jsonio._KINDS.items() for name in spec.fields]
+    + [("proj_point", "kind")],
 )
-def test_missing_field_exits_2_naming_kind_and_field(tmp_path, kind, missing):
-    full = {
-        "proj_point": {"field": "real", "n": 1, "h": [1.0, 0.0]},
-        "proj_map": {"field": "real", "n": 1, "M": [[1.0, 0.0], [0.0, 1.0]]},
-        "proj_subspace": {"field": "real", "n": 2, "basis": [[1, 0, 0]]},
-        "subspace": {"field": "real", "n": 3, "k": 1, "basis": [[1, 0, 0]]},
-        "hopf_point": {"field": "real", "n": 2, "lambda": 2, "rep": [1.0, 0.0]},
-        "vector": {"field": "real", "v": [2.0, 0.5]},
-        "matrix": {"field": "real", "M": [[0.5], [0.25]]},
-        "extended_complex": {"z": [2.0, 1.0]},
-    }[kind]
-    doc = {k: v for k, v in {"kind": kind, **full}.items() if k != missing}
+def test_missing_field_exits_2_naming_kind_and_field(tmp_path, capsys, kind, missing):
+    assert set(FULL_DOCS) == set(jsonio._KINDS)
+    doc = {k: v for k, v in {"kind": kind, **FULL_DOCS[kind]}.items() if k != missing}
     path = write_doc(tmp_path / "doc.json", json.dumps(doc))
-    res = run_cli("apply", path, path)
     where = "document" if missing == "kind" else f"{kind} document"
-    assert res.returncode == 2
-    assert res.stdout == ""
-    assert res.stderr == f"projgeo: {where} has no field '{missing}'\n"
+    assert cli.main(["apply", path, path]) == 2
+    assert capsys.readouterr() == ("", f"projgeo: {where} has no field '{missing}'\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "proj_point", "field": "real", "n": 1, "h": [1.0, 2.0, 3.0]}',
+         "proj_point document field 'n': declared 1, but its data give 2"),
+        ('{"kind": "vector", "field": "real", "v": 5}',
+         "vector document field 'v': expected a list, got 5"),
+        ('{"kind": "vector", "field": "real", "v": ["1e0", true, 2]}',
+         "vector document field 'v': expected a number, got '1e0'"),
+        ('{"kind": "vector", "field": "real", "v": [1.0], "n": 0}',
+         "vector document has unknown field 'n'"),
+    ],
+    ids=["declared-n", "v-not-a-list", "string-entry", "unknown-key"],
+)
+def test_invalid_document_exits_2_naming_kind_and_field(tmp_path, capsys, text, message):
+    path = write_doc(tmp_path / "doc.json", text)
+    assert cli.main(["chart", "embed", path, "--j", "1"]) == 2
+    assert capsys.readouterr() == ("", f"projgeo: {message}\n")
+
+
+# --- tolerance flags before and after a sub-command ----------------------------
+
+NEAR_TIE = '{"kind": "proj_point", "field": "real", "n": 2, "h": [1, 1e-6, 0]}'
+FLAG_DOCS = {
+    **DOCS,
+    "near_tie": NEAR_TIE,
+    "small": '{"kind": "vector", "field": "real", "v": [1e-6]}',
+    "tiny": '{"kind": "vector", "field": "real", "v": [1e-6, 1e-6]}',
+    "gl": '{"kind": "matrix", "field": "real", "M": [[1e-6], [0.25]]}',
+    "x": '{"kind": "subspace", "field": "real", "n": 3, "k": 1, "basis": [[1e-6, 1, 0]]}',
+}
+SUBCOMMANDS = [
+    ["chart", "embed", "small", "--j", "1"],
+    ["chart", "extract", "near_tie", "--j", "2"],
+    ["chart", "transition", "small", "--j1", "1", "--j2", "2"],
+    ["grassmann", "graph", "--base", "subspace", "--matrix", "gl"],
+    ["grassmann", "coords", "x", "--base", "subspace"],
+    ["grassmann", "complement", "x"],
+    ["grassmann", "annihilator", "x"],
+    ["hopf", "project", "tiny"],
+    ["hopf", "equal", "tiny", "vector"],
+    ["hopf", "to-projective", "hopf_point"],
+]
+
+
+def run_main(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[" ".join(a[:2]) for a in SUBCOMMANDS])
+@pytest.mark.parametrize("flags", [["--eps", "1e-3"], ["--cond-max", "0.5"]])
+def test_a_tolerance_flag_gives_one_answer_before_or_after_the_sub_command(
+        tmp_path, capsys, monkeypatch, argv, flags):
+    # None of these sub-commands meets the conditioning cap, so an invalid
+    # --cond-max, which exits 2, is what shows that the flag was read.
+    monkeypatch.delenv("PROJGEO_EPS", raising=False)
+    argv = [write_doc(tmp_path / f"{a}.json", FLAG_DOCS[a]) if a in FLAG_DOCS else a for a in argv]
+    before = run_main(capsys, [*argv[:1], *flags, *argv[1:]])
+    after = run_main(capsys, [*argv, *flags])
+    assert before == after
+    if flags[0] == "--cond-max":
+        assert after[0] == 2
+
+
+def test_a_flag_before_the_sub_command_is_not_dropped(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PROJGEO_EPS", raising=False)
+    path = write_doc(tmp_path / "p.json", NEAR_TIE)
+    # the 1e-6 coordinate is zero at eps 1e-3, so the point is off chart 2
+    assert run_main(capsys, ["chart", "--eps", "1e-3", "extract", path, "--j", "2"]) == (
+        0, "null\n", "")
+    answer = (0, '{"kind": "vector", "field": "real", "v": [1000000, 0]}\n', "")
+    assert run_main(capsys, ["chart", "extract", path, "--j", "2"]) == answer
+    # given at both places, the flag after the sub-command wins
+    assert run_main(capsys, ["chart", "--eps", "1e-3", "extract", path, "--j", "2",
+                             "--eps", "1e-9"]) == answer
+    # PROJGEO_EPS yields to a flag at either place
+    monkeypatch.setenv("PROJGEO_EPS", "1e-3")
+    assert run_main(capsys, ["chart", "extract", path, "--j", "2"])[1] == "null\n"
+    assert run_main(capsys, ["chart", "--eps", "1e-9", "extract", path, "--j", "2"]) == answer
+    assert run_main(capsys, ["chart", "extract", path, "--j", "2", "--eps", "1e-9"]) == answer
 
 
 def test_importing_the_cli_does_not_load_numpy_random():

@@ -1,7 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projgeo import (
     INFINITY,
@@ -13,7 +16,8 @@ from projgeo import (
     quotient_project,
     subspace_from_span,
 )
-from projgeo.errors import InvalidInput
+from projgeo import jsonio
+from projgeo.errors import InvalidInput, ProjGeoError
 from projgeo.jsonio import decode, dumps, encode
 
 
@@ -113,3 +117,163 @@ def test_unknown_kind_rejected():
     # a missing field is named, with the kind when there is one
     with pytest.raises(InvalidInput, match="^document has no field 'kind'$"):
         decode({"field": "real"})
+
+
+# --- the table of wire kinds ---------------------------------------------------
+
+SAMPLES = {
+    "proj_point": point_from_vector([1.0 + 2.0j, -3.0j, 0.5]),
+    "proj_map": map_from_matrix(np.array([[1.0, 2.0], [3.0, 4.0]])),
+    "proj_subspace": proj_subspace_from_span(np.eye(4)[:, :2]),
+    "subspace": subspace_from_span(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])),
+    "hopf_point": quotient_project([3.0 + 0j, 4.0j], ScaleGroup(2j)),
+    "vector": np.array([1.0, -2.0, 0.25]),
+    "matrix": np.array([[1.0 + 1j, 0.0], [2.0, -1j]]),
+    "extended_complex": ExtendedComplex(1.5 - 2.5j),
+}
+
+
+def wire(kind):
+    return json.loads(dumps(encode(SAMPLES[kind])))
+
+
+def test_the_samples_cover_every_kind():
+    assert set(SAMPLES) == set(jsonio._KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
+def test_every_kind_round_trips_with_its_keys_in_wire_order(kind):
+    doc = encode(SAMPLES[kind])
+    assert list(doc) == ["kind", *jsonio._KINDS[kind].fields]
+    assert doc["kind"] == kind
+    back = encode(round_trip(SAMPLES[kind]))
+    assert list(back) == list(doc)
+    for name, value in doc.items():
+        if isinstance(value, list):
+            assert np.max(np.abs(np.subtract(back[name], value))) < 1e-15
+        else:
+            assert back[name] == value
+
+
+@pytest.mark.parametrize(
+    "kind, name", [(k, n) for k, spec in jsonio._KINDS.items() for n in ("n", "k") if n in spec.fields]
+)
+def test_a_declared_n_or_k_must_match_the_data(kind, name):
+    doc = wire(kind)
+    actual = doc[name]
+    for declared in (actual + 1, actual - 1):
+        message = f"^{kind} document field '{name}': declared {declared}, but its data give {actual}$"
+        with pytest.raises(InvalidInput, match=message):
+            decode({**doc, name: declared})
+    for bad in (float(actual), True, str(actual), None):
+        with pytest.raises(InvalidInput, match=f"^{kind} document field '{name}': expected an integer"):
+            decode({**doc, name: bad})
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLES))
+def test_an_unknown_key_is_rejected(kind):
+    with pytest.raises(InvalidInput, match=f"^{kind} document has unknown field 'extra'$"):
+        decode({**wire(kind), "extra": 0})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "vector", "field": "real", "v": 5}',
+         "vector document field 'v': expected a list, got 5"),
+        ('{"kind": "vector", "field": "real", "v": ["1e0", true, 2]}',
+         "vector document field 'v': expected a number, got '1e0'"),
+        ('{"kind": "vector", "field": "real", "v": [true, 2]}',
+         "vector document field 'v': expected a number, got True"),
+        ('{"kind": "vector", "field": "real", "v": [1, null]}',
+         "vector document field 'v': expected a number, got None"),
+        ('{"kind": "vector", "field": "real", "v": [NaN]}',
+         "vector document field 'v': entries must be finite, got nan"),
+        ('{"kind": "vector", "field": "real", "v": [1' + "0" * 400 + "]}",
+         "vector document field 'v': int too large to convert to float"),
+        ('{"kind": "vector", "field": "complex", "v": [[1, 2, 3]]}',
+         "vector document field 'v': expected a number or an [re, im] pair, got [1, 2, 3]"),
+        ('{"kind": "vector", "field": "real", "v": [[1, 2]]}',
+         "vector document field 'v': expected a number, got [1, 2]"),
+        ('{"kind": "vector", "field": "quaternion", "v": [1]}',
+         "vector document field 'field': expected 'real' or 'complex', got 'quaternion'"),
+        ('{"kind": "matrix", "field": "real", "M": [[1], [1, 2]]}',
+         "matrix document field 'M': rows of unequal lengths [1, 2]"),
+        ('{"kind": "proj_point", "field": "real", "n": 1, "h": [1, 2, 3]}',
+         "proj_point document field 'n': declared 1, but its data give 2"),
+        ('{"kind": "proj_point", "field": "real", "n": 5, "h": [1.0, 2.0]}',
+         "proj_point document field 'n': declared 5, but its data give 1"),
+        ('{"kind": "proj_point", "field": "real", "n": 1.7, "h": [1, 2]}',
+         "proj_point document field 'n': expected an integer, got 1.7"),
+        ('{"kind": "hopf_point", "field": "real", "n": 2, "lambda": 0.5, "rep": [1, 0]}',
+         "hopf_point document field 'lambda': scale must have absolute value larger than 1, "
+         "got 0.5"),
+        ('{"kind": "extended_complex", "z": [Infinity, 0]}',
+         "extended_complex document field 'z': finite value required, got (inf+0j); "
+         "use INFINITY otherwise"),
+        ('{"kind": ["proj_point"]}', "expected a known kind, got ['proj_point']"),
+        ("[1, 2]", "expected a JSON object, got [1, 2]"),
+    ],
+    ids=["v-not-a-list", "string-entry", "bool-entry", "null-entry", "nan-entry", "huge-int",
+         "triple", "real-pair", "unknown-field", "ragged", "n-too-small", "n-too-large",
+         "n-not-int", "lambda", "z-inf", "kind-not-str", "not-an-object"],
+)
+def test_a_bad_field_is_named_with_its_value(text, message):
+    with pytest.raises(InvalidInput) as info:
+        decode(json.loads(text))
+    assert str(info.value) == message
+
+
+# --- fuzz: every document decodes to a wire object or raises a typed error ------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["1e0", "2", "inf", "nan", "real", "complex", "proj_point", ""]),
+    st.integers(-3, 6),
+    st.floats(),  # NaN, inf, subnormal and huge included
+    st.lists(st.one_of(st.floats(), st.integers(-2, 2), st.none(), st.booleans(), st.text(max_size=2)),
+             max_size=4),
+    st.lists(st.lists(st.floats(-2, 2), max_size=3), max_size=3),  # ragged rows
+    st.lists(st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(SAMPLES)), edits=st.lists(
+    st.tuples(st.sampled_from(["kind", "field", "n", "k", "h", "M", "basis", "lambda", "rep", "v",
+                               "z", "extra"]), _JUNK), min_size=1, max_size=2))
+@example(kind="vector", edits=[("v", 5)])
+def test_decode_returns_a_wire_object_or_raises_a_typed_error(kind, edits):
+    doc = wire(kind)
+    for name, value in edits:
+        doc[name] = value
+    try:
+        obj = decode(doc)
+    except ProjGeoError:
+        return
+    back = encode(obj)
+    assert back["kind"] == doc["kind"]
+    assert set(back) == set(doc)
+    for name in ("field", "n", "k"):
+        assert back.get(name) == doc.get(name)
+
+
+# --- README's document shapes are the table's ------------------------------------
+
+
+def readme_documents():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("### JSON document shapes", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return [json.loads(line.split("//")[0]) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_documents_decode_and_encode_back_to_the_same_shape():
+    docs = readme_documents()
+    assert {doc["kind"] for doc in docs} == set(jsonio._KINDS)
+    for doc in docs:
+        back = encode(decode(doc))
+        assert set(back) == set(doc)
+        for name in ("kind", "field", "n", "k"):
+            assert back.get(name) == doc.get(name)
