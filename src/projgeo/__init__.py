@@ -26,6 +26,7 @@ from projgeo.errors import (
 )
 from projgeo.grassmann import (
     GraphChart,
+    ProjSubspace,
     Subspace,
     annihilator,
     apply_gl,
@@ -34,8 +35,12 @@ from projgeo.grassmann import (
     graph_chart,
     graph_subspace,
     grassmann_dimension,
+    missing_locus,
     orthogonal_complement,
+    point_membership,
+    proj_subspace_from_span,
     subspace_from_span,
+    subspace_image,
     subspaces_equal,
     to_projective_point,
     transitive_witness_gr,
@@ -88,7 +93,6 @@ from projgeo.projective import (
     AffineChart,
     ProjMap,
     ProjPoint,
-    ProjSubspace,
     apply_map,
     chart_cover,
     chart_embed,
@@ -101,13 +105,9 @@ from projgeo.projective import (
     map_distance,
     map_from_matrix,
     maps_equal,
-    missing_locus,
     point_distance,
     point_from_vector,
-    point_membership,
     points_equal,
-    proj_subspace_from_span,
-    subspace_image,
     transitive_witness,
 )
 

@@ -68,7 +68,11 @@ def _read(tol: Tolerance, *paths: str, want=object, error: str = ""):
     objs = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            objs.append(jsonio.decode(json.load(fh), tol))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise InvalidInput(f"{path}: JSON nested too deeply") from None
+        objs.append(jsonio.decode(doc, tol))
     if not all(jsonio.matches(obj, want) for obj in objs):
         raise DimensionMismatch(error)
     return objs[0] if len(objs) == 1 else objs
@@ -191,6 +195,11 @@ def _cmd_grassmann(args) -> int:
 
 def _cmd_hopf(args) -> int:
     tol = _tolerance(args)
+    if args.action == "to-projective":  # the document carries its own lambda
+        h = _read(tol, args.vector, want=HopfPoint,
+                  error="to-projective expects a hopf_point document")
+        _emit(hopf_manifold.to_projective(h, tol))
+        return 0
     group = ScaleGroup(_parse_scalar(args.lam))
     if args.action == "project":
         v = _read(tol, args.vector, want=1, error="project expects a vector document")
@@ -198,16 +207,11 @@ def _cmd_hopf(args) -> int:
             v = as_vector(v, args.field)
         _emit(hopf_manifold.quotient_project(v, group, tol))
         return 0
-    if args.action == "equal":
-        v, w = _read(tol, args.vector, args.other, want=1,
-                     error="equal expects two vector documents")
-        verdict = hopf_manifold.hopf_points_equal(v, w, group, tol)
-        sys.stdout.write(("true" if verdict else "false") + "\n")
-        return 0
-    # to-projective
-    h = _read(tol, args.vector, want=HopfPoint,
-              error="to-projective expects a hopf_point document")
-    _emit(hopf_manifold.to_projective(h, tol))
+    # equal
+    v, w = _read(tol, args.vector, args.other, want=1,
+                 error="equal expects two vector documents")
+    verdict = hopf_manifold.hopf_points_equal(v, w, group, tol)
+    sys.stdout.write(("true" if verdict else "false") + "\n")
     return 0
 
 
@@ -324,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     h_eq = hopf_sub.add_parser("equal", parents=[common, scale])
     h_eq.add_argument("vector")
     h_eq.add_argument("other")
-    h_top = hopf_sub.add_parser("to-projective", parents=[common, scale])
+    h_top = hopf_sub.add_parser("to-projective", parents=[common])
     h_top.add_argument("vector", help="hopf_point document")
 
     p_link = sub.add_parser("link", parents=[common],

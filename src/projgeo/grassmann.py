@@ -11,6 +11,9 @@ form a coordinate patch whose field-dimension is k(n-k).  Invertible
 n x n matrices act on subspaces, transitively; two duality constructions
 (Hermitian orthogonal complement, and the annihilator under the plain
 bilinear pairing) each identify G(k, n) with G(n-k, n).
+
+P^n is G(1, n+1), and a projective l-plane P(L) is the point L of
+G(l+1, n+1), so a ProjSubspace is held as its linear Subspace L.
 """
 
 from dataclasses import dataclass
@@ -22,17 +25,20 @@ from projgeo.errors import (
     DimensionMismatch,
     FieldMismatch,
     IllConditioned,
+    InvalidInput,
     InvalidRange,
+    NotCanonical,
     ShapeMismatch,
 )
 from projgeo.numerics import (
     DEFAULT_TOLERANCE,
+    REAL,
     Tolerance,
     as_matrix,
     dtype_for,
     field_of,
 )
-from projgeo.projective import ProjPoint, _point_of
+from projgeo.projective import AffineChart, ProjMap, ProjPoint, _point_of, _same_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,16 +59,18 @@ class Subspace:
                 f"expected a {self.n}x{self.k} basis, got shape {arr.shape}"
             )
         if not 1 <= self.k < self.n:
-            raise InvalidRange("subspace dimension must satisfy 1 <= k < n")
-        gram = arr.conj().T @ arr
-        if np.abs(gram - np.eye(self.k)).max() > 1e-10:
-            raise ValueError("basis columns must be orthonormal")
+            raise InvalidRange("subspace dimension must satisfy 1 <= k < n, "
+                               f"got k = {self.k}, n = {self.n}")
+        deviation = np.abs(arr.conj().T @ arr - np.eye(self.k)).max()
+        if not deviation <= 1e-10:  # NaN entries fail too
+            raise NotCanonical(f"basis columns must be orthonormal: max |B^H B - I| = "
+                               f"{deviation:.3g}, bound 1e-10")
         arr.setflags(write=False)
         object.__setattr__(self, "basis", arr)
 
 
 def _subspace(field: str, n: int, k: int, q: np.ndarray) -> Subspace:
-    """The Subspace of a basis that orthonormalize or kernel has just made:
+    """The Subspace of a fresh basis, such as orthonormalize or kernel make:
     every check of the constructor, but the array is held, not copied, so
     it keeps its memory layout."""
     s = object.__new__(Subspace)
@@ -71,6 +79,20 @@ def _subspace(field: str, n: int, k: int, q: np.ndarray) -> Subspace:
     object.__setattr__(s, "k", k)
     s._hold(q)
     return s
+
+
+@dataclass(frozen=True, eq=False)
+class ProjSubspace:
+    """A projective subspace P(L) of P^n, a view of its linear subspace L of
+    F^{n+1}; its projective dimension l is dim L - 1, n - 1 for a hyperplane.
+    Subspace makes every check; equality is subspaces_equal on ``linear``."""
+
+    linear: Subspace
+
+    field = property(lambda self: self.linear.field)
+    n = property(lambda self: self.linear.n - 1)
+    l = property(lambda self: self.linear.k - 1)
+    basis = property(lambda self: self.linear.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +158,10 @@ def graph_chart(
         complement = orthogonal_complement(base, tol)
     chart = GraphChart(base, complement)
     combined = np.hstack([base.basis, complement.basis])
-    if np.linalg.svd(combined, compute_uv=False)[-1] <= tol.eps_abs:
-        raise ValueError("base and complement are not transverse")
+    smallest = np.linalg.svd(combined, compute_uv=False)[-1]
+    if smallest <= tol.eps_abs:
+        raise InvalidInput(f"base and complement are not transverse: smallest singular "
+                           f"value {smallest:.3g} <= eps {tol.eps_abs:.3g}")
     return chart
 
 
@@ -200,6 +224,11 @@ def apply_gl(g, s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     if gm.shape != (s.n, s.n):
         raise DimensionMismatch(f"expected a {s.n}x{s.n} matrix, got {gm.shape}")
     numerics.require_conditioned(gm, tol)
+    return _image(gm, s, tol)
+
+
+def _image(gm: np.ndarray, s: Subspace, tol: Tolerance) -> Subspace:
+    """Image of a subspace under a matrix that has passed the conditioning guard."""
     q = numerics.orthonormalize(gm @ s.basis, tol)
     if q.shape[1] != s.k:
         raise IllConditioned("image dropped rank numerically")
@@ -244,3 +273,32 @@ def to_projective_point(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Proj
 def from_projective_point(p: ProjPoint) -> Subspace:
     """The line in F^{n+1} underlying a point of P^n."""
     return Subspace(p.field, p.n + 1, 1, p.h[:, None])
+
+
+def missing_locus(c: AffineChart, field: str = REAL) -> ProjSubspace:
+    """The hyperplane {h_j = 0} that the chart misses, of projective dimension n - 1."""
+    basis = np.delete(np.eye(c.n + 1, dtype=dtype_for(field)), c.j - 1, axis=1)
+    return ProjSubspace(_subspace(field, c.n + 1, c.n, basis))
+
+
+def proj_subspace_from_span(
+    columns, tol: Tolerance = DEFAULT_TOLERANCE, field: str | None = None
+) -> ProjSubspace:
+    """P(L) for the span L of the given matrix columns in F^{n+1}."""
+    return ProjSubspace(subspace_from_span(columns, tol, field))
+
+
+def point_membership(
+    p: ProjPoint, s: ProjSubspace, tol: Tolerance = DEFAULT_TOLERANCE
+) -> bool:
+    """Whether the line of ``p`` lies inside the subspace."""
+    _same_space(p, s)
+    return numerics.in_span(p.h, s.basis, tol)
+
+
+def subspace_image(
+    t: ProjMap, s: ProjSubspace, tol: Tolerance = DEFAULT_TOLERANCE
+) -> ProjSubspace:
+    """Image P(M(L)) of a projective subspace under a (guarded) projective map."""
+    _same_space(t, s)
+    return ProjSubspace(_image(t.M, s.linear, tol))

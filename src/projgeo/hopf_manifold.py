@@ -242,8 +242,5 @@ def subspace_trace_membership(point: HopfPoint, s, tol: Tolerance = DEFAULT_TOLE
     Subspaces are invariant under scalar multiplication, so membership
     is a property of the class, tested on the representative.
     """
-    if s.n != point.n:
-        raise DimensionMismatch(f"mixed dimensions: {s.n} vs {point.n}")
-    if s.field != point.field:
-        raise FieldMismatch(f"mixed fields: {s.field} vs {point.field}")
+    _same_space(s, point)
     return in_span(point.rep, s.basis, tol)

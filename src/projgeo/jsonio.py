@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from projgeo.errors import InvalidInput, ProjGeoError
-from projgeo.grassmann import Subspace, subspace_from_span
+from projgeo.grassmann import ProjSubspace, Subspace, proj_subspace_from_span, subspace_from_span
 from projgeo.hopf_manifold import HopfPoint, ScaleGroup, quotient_project
 from projgeo.hopf_fibration import INFINITY, ExtendedComplex
 from projgeo.numerics import (
@@ -43,14 +43,7 @@ from projgeo.numerics import (
     as_vector,
     field_of,
 )
-from projgeo.projective import (
-    ProjMap,
-    ProjPoint,
-    ProjSubspace,
-    map_from_matrix,
-    point_from_vector,
-    proj_subspace_from_span,
-)
+from projgeo.projective import ProjMap, ProjPoint, map_from_matrix, point_from_vector
 
 
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double round-trips

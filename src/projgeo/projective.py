@@ -17,7 +17,7 @@ Equality is therefore a class distance, :func:`point_distance` and
 The affine chart with index j identifies F^n with the set of lines
 meeting the affine hyperplane {x : x_j = 1}; the n+1 coordinate charts
 cover the whole space, and chart j misses exactly the projectivized
-hyperplane {x_j = 0}.
+hyperplane {x_j = 0}, :func:`projgeo.grassmann.missing_locus`.
 """
 
 import math
@@ -29,7 +29,6 @@ from projgeo import numerics
 from projgeo.errors import (
     DimensionMismatch,
     FieldMismatch,
-    IllConditioned,
     InvalidRange,
     NotCanonical,
     ZeroVector,
@@ -42,7 +41,6 @@ from projgeo.numerics import (
     as_matrix,
     as_vector,
     dtype_for,
-    field_of,
 )
 
 
@@ -157,38 +155,6 @@ class ProjMap:
         d = self.n + 1
         arr = _frozen_canonical(self.M, self.field, (d, d), f"a {d}x{d} matrix")
         object.__setattr__(self, "M", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class ProjSubspace:
-    """A projective subspace P(L), stored by an orthonormal basis of L.
-
-    ``basis`` is (n+1) x (l+1) where l is the projective dimension; the
-    hyperplane case is l = n - 1.
-    """
-
-    field: str
-    n: int
-    basis: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.basis, dtype=dtype_for(self.field))
-        if arr.ndim != 2 or arr.shape[0] != self.n + 1:
-            raise DimensionMismatch(
-                f"expected basis with {self.n + 1} rows, got shape {arr.shape}"
-            )
-        if not 1 <= arr.shape[1] <= self.n:
-            raise InvalidRange("projective dimension must satisfy 0 <= l < n")
-        gram = arr.conj().T @ arr
-        if np.max(np.abs(gram - np.eye(arr.shape[1]))) > 1e-10:
-            raise ValueError("basis columns must be orthonormal")
-        arr.setflags(write=False)
-        object.__setattr__(self, "basis", arr)
-
-    @property
-    def l(self) -> int:
-        """Projective dimension of the subspace."""
-        return self.basis.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -399,45 +365,6 @@ def chart_transition(
     if c1.n != c2.n:
         raise DimensionMismatch(f"mixed dimensions: {c1.n} vs {c2.n}")
     return chart_extract(c2, chart_embed(c1, w, tol, field), tol)
-
-
-def missing_locus(c: AffineChart, field: str = REAL) -> ProjSubspace:
-    """The projectivized hyperplane {h_j = 0} not covered by the chart.
-
-    Its projective dimension is n - 1.
-    """
-    basis = np.delete(np.eye(c.n + 1, dtype=dtype_for(field)), c.j - 1, axis=1)
-    return ProjSubspace(field, c.n, basis)
-
-
-def proj_subspace_from_span(
-    columns, tol: Tolerance = DEFAULT_TOLERANCE, field: str | None = None
-) -> ProjSubspace:
-    """P(L) for the span L of the given matrix columns in F^{n+1}."""
-    mat = as_matrix(columns, field)
-    q = numerics.orthonormalize(mat, tol)
-    if q.shape[1] > mat.shape[0] - 1:
-        raise InvalidRange("span is the whole ambient space, not a projective subspace")
-    return ProjSubspace(field_of(q), mat.shape[0] - 1, q)
-
-
-def point_membership(
-    p: ProjPoint, s: ProjSubspace, tol: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
-    """Whether the line of ``p`` lies inside the subspace."""
-    _same_space(p, s)
-    return numerics.in_span(p.h, s.basis, tol)
-
-
-def subspace_image(
-    t: ProjMap, s: ProjSubspace, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ProjSubspace:
-    """Image P(M(L)) of a projective subspace under a projective map."""
-    _same_space(t, s)
-    q = numerics.orthonormalize(t.M @ s.basis, tol)
-    if q.shape[1] != s.basis.shape[1]:
-        raise IllConditioned("image dropped rank numerically")
-    return ProjSubspace(s.field, s.n, q)
 
 
 def transitive_witness(

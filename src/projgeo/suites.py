@@ -148,9 +148,9 @@ def _prop_missing_locus(rng, i, tol, lam):
     good = True
     for j in range(1, n + 2):
         chart = projective.AffineChart(n, j)
-        locus = projective.missing_locus(chart, field)
+        locus = grassmann.missing_locus(chart, field)
         absent = projective.chart_extract(chart, p, tol) is None
-        if absent != projective.point_membership(p, locus, tol):
+        if absent != grassmann.point_membership(p, locus, tol):
             good = False
         # a point manufactured on the locus must be invisible to the chart;
         # its coefficients are scaled up, if need be, to clear the zero test
@@ -159,7 +159,7 @@ def _prop_missing_locus(rng, i, tol, lam):
         on_locus = projective.point_from_vector(locus.basis @ coeffs, tol)
         if projective.chart_extract(chart, on_locus, tol) is not None:
             good = False
-        if not projective.point_membership(on_locus, locus, tol):
+        if not grassmann.point_membership(on_locus, locus, tol):
             good = False
     return good
 

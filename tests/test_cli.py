@@ -9,7 +9,13 @@ import pytest
 from projgeo import cli, jsonio, suites
 from projgeo.errors import ZeroVector
 from projgeo.jsonio import dumps, encode
-from projgeo import map_from_matrix, point_from_vector, quotient_project, subspace_from_span
+from projgeo import (
+    ScaleGroup,
+    map_from_matrix,
+    point_from_vector,
+    quotient_project,
+    subspace_from_span,
+)
 
 
 def run_cli(*args, env=None):
@@ -616,3 +622,23 @@ def test_importing_the_cli_does_not_load_numpy_random():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_to_projective_prints_the_point_of_the_documents_own_lambda(tmp_path, capsys):
+    path = write_doc(tmp_path / "h.json", quotient_project([30.0, 40.0, 0.0], ScaleGroup(3.0)))
+    assert json.loads((tmp_path / "h.json").read_text())["lambda"] == 3
+    code, out, err = run_main(capsys, ["hopf", "to-projective", path])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["kind"], doc["n"]) == ("proj_point", 2)
+    assert np.max(np.abs(np.array(doc["h"]) - [0.6, 0.8, 0.0])) < 1e-15
+    with pytest.raises(SystemExit):
+        cli.main(["hopf", "to-projective", "--help"])
+    usage = capsys.readouterr().out
+    assert "--eps" in usage and "--lambda" not in usage
+
+
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
+    path = write_doc(tmp_path / "deep.json", "[" * 100000 + "]" * 100000)
+    assert cli.main(["apply", path, path]) == 2
+    assert capsys.readouterr() == ("", f"projgeo: {path}: JSON nested too deeply\n")

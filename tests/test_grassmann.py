@@ -3,9 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projgeo import (
+    AffineChart,
     IllConditioned,
+    InvalidInput,
     InvalidRange,
+    NotCanonical,
     ShapeMismatch,
+    Subspace,
     Tolerance,
     annihilator,
     apply_gl,
@@ -14,16 +18,26 @@ from projgeo import (
     graph_chart,
     graph_subspace,
     grassmann_dimension,
+    missing_locus,
     orthogonal_complement,
     point_from_vector,
     points_equal,
+    proj_subspace_from_span,
     projector_distance,
     subspace_from_span,
+    subspace_image,
     subspaces_equal,
     to_projective_point,
     transitive_witness_gr,
 )
-from projgeo.suites import rand_invertible, rand_nonzero_scalar, rand_subspace, rand_vector
+from projgeo.jsonio import dumps, encode
+from projgeo.suites import (
+    rand_invertible,
+    rand_nonzero_scalar,
+    rand_proj_map,
+    rand_subspace,
+    rand_vector,
+)
 
 
 def span(*columns):
@@ -250,3 +264,42 @@ def test_lines_round_trip_through_projective_points(field):
 def test_point_to_line_and_back():
     p = point_from_vector([1.0, 2.0, 2.0])
     assert points_equal(to_projective_point(from_projective_point(p)), p)
+
+
+# --- projective subspaces, held as their linear subspaces ---------------------
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_projective_subspace_is_a_view_of_its_linear_subspace(field, n):
+    rng = np.random.default_rng(30 + n)
+    for l in range(n):
+        for _ in range(5):
+            x = rand_vector(rng, (n + 1) * (l + 1), field).reshape(n + 1, l + 1)
+            s = proj_subspace_from_span(x)
+            assert np.array_equal(s.basis, subspace_from_span(x).basis)
+            assert (s.field, s.n, s.l) == (field, n, l)
+            t = rand_proj_map(rng, n, field)
+            assert np.array_equal(subspace_image(t, s).basis, apply_gl(t.M, s.linear).basis)
+    for j in range(1, n + 2):
+        assert missing_locus(AffineChart(n, j), field).l == n - 1
+
+
+def test_projective_subspace_document_is_pinned():
+    s = proj_subspace_from_span(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    assert dumps(encode(s)) == (
+        '{"kind": "proj_subspace", "field": "real", "n": 2, '
+        '"basis": [[0.70710678118654746, 0.70710678118654746, 0], [0, 0, 1]]}'
+    )
+
+
+def test_subspace_and_chart_errors_are_typed_and_name_their_values():
+    with pytest.raises(NotCanonical, match=r"max \|B\^H B - I\| = 3, bound 1e-10"):
+        Subspace("real", 3, 1, [[2.0], [0.0], [0.0]])
+    with pytest.raises(NotCanonical, match=r"= nan, bound 1e-10"):
+        Subspace("real", 3, 1, [[np.nan], [0.0], [0.0]])
+    with pytest.raises(InvalidRange, match="1 <= k < n, got k = 3, n = 3"):
+        proj_subspace_from_span(np.eye(3))
+    transverse = r"not transverse: smallest singular value \S+ <= eps 1e-09"
+    with pytest.raises(InvalidInput, match=transverse):
+        graph_chart(span([1.0, 0.0]), span([1.0, 0.0]))

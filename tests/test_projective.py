@@ -29,6 +29,7 @@ from projgeo import (
     proj_subspace_from_span,
     projective,
     subspace_image,
+    subspaces_equal,
     transitive_witness,
 )
 from projgeo.suites import (
@@ -321,15 +322,14 @@ def test_point_membership_constructed():
 
 
 def test_subspace_image_identity_and_permutation():
-    from projgeo.numerics import projector_distance
-
+    tight = Tolerance(eps_abs=1e-12)
     s = proj_subspace_from_span(np.eye(3)[:, :1])
     same = subspace_image(identity_map(2, "real"), s)
-    assert projector_distance(same.basis, s.basis) < 1e-12
+    assert subspaces_equal(same.linear, s.linear, tight)
     cycle = np.roll(np.eye(3), 1, axis=0)
     moved = subspace_image(map_from_matrix(cycle), s)
     expected = proj_subspace_from_span(cycle @ np.eye(3)[:, :1])
-    assert projector_distance(moved.basis, expected.basis) < 1e-12
+    assert subspaces_equal(moved.linear, expected.linear, tight)
 
 
 def test_subspace_image_preserves_membership():
