@@ -25,7 +25,6 @@ from projgeo.errors import (
     IllConditioned,
     InvalidInput,
     InvalidRange,
-    NotSquare,
     ProjGeoError,
     SamePoint,
     ShapeMismatch,
@@ -354,7 +353,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (json.JSONDecodeError, OSError, ValueError, ProjGeoError) as exc:
         print(f"projgeo: {exc}", file=sys.stderr)
-        if isinstance(exc, (DimensionMismatch, FieldMismatch, ShapeMismatch, NotSquare, SamePoint)):
+        if isinstance(exc, (DimensionMismatch, FieldMismatch, ShapeMismatch, SamePoint)):
             return 3
         return 4 if isinstance(exc, IllConditioned) else 2
 

@@ -5,10 +5,6 @@ class ProjGeoError(Exception):
     """Base class for every error raised by projgeo."""
 
 
-class NotSquare(ProjGeoError):
-    """A square matrix was required."""
-
-
 class IllConditioned(ProjGeoError):
     """Condition estimate exceeds the configured cap."""
 
@@ -31,6 +27,10 @@ class InvalidInput(ProjGeoError, ValueError):
 
 class DimensionMismatch(ProjGeoError):
     """Operands live in different dimensions."""
+
+
+class NotSquare(DimensionMismatch):
+    """A square matrix was required."""
 
 
 class FieldMismatch(ProjGeoError):

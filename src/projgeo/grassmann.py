@@ -38,7 +38,7 @@ from projgeo.numerics import (
     dtype_for,
     field_of,
 )
-from projgeo.projective import AffineChart, ProjMap, ProjPoint, _point_of, _same_space
+from projgeo.projective import AffineChart, ProjMap, ProjPoint, _made, _point_of, _same_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +53,8 @@ class Subspace:
     def __post_init__(self):
         self._hold(np.array(self.basis, dtype=dtype_for(self.field)))
 
-    def _hold(self, arr: np.ndarray) -> None:
+    def _hold(self, arr: np.ndarray) -> "Subspace":
+        """Check a basis and hold it read-only, uncopied, in its memory layout."""
         if arr.ndim != 2 or arr.shape != (self.n, self.k):
             raise DimensionMismatch(
                 f"expected a {self.n}x{self.k} basis, got shape {arr.shape}"
@@ -67,18 +68,7 @@ class Subspace:
                                f"{deviation:.3g}, bound 1e-10")
         arr.setflags(write=False)
         object.__setattr__(self, "basis", arr)
-
-
-def _subspace(field: str, n: int, k: int, q: np.ndarray) -> Subspace:
-    """The Subspace of a fresh basis, such as orthonormalize or kernel make:
-    every check of the constructor, but the array is held, not copied, so
-    it keeps its memory layout."""
-    s = object.__new__(Subspace)
-    object.__setattr__(s, "field", field)
-    object.__setattr__(s, "n", n)
-    object.__setattr__(s, "k", k)
-    s._hold(q)
-    return s
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +114,7 @@ def subspace_from_span(
     """Subspace spanned by the columns of ``columns``."""
     mat = as_matrix(columns, field)
     q = numerics.orthonormalize(mat, tol)
-    return _subspace(field_of(q), mat.shape[0], q.shape[1], q)
+    return _made(Subspace, field=field_of(q), n=mat.shape[0], k=q.shape[1])._hold(q)
 
 
 def subspaces_equal(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
@@ -183,7 +173,7 @@ def graph_subspace(
     q = numerics.orthonormalize(base.basis + comp.basis @ a, tol)
     if q.shape[1] != base.k:
         raise IllConditioned("graph construction dropped rank numerically")
-    return _subspace(base.field, base.n, base.k, q)
+    return _made(Subspace, field=base.field, n=base.n, k=base.k)._hold(q)
 
 
 def chart_coords(
@@ -220,11 +210,7 @@ def apply_gl(g, s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     Scalar multiples of ``g`` give the same image, so the action factors
     through the projective linear group.
     """
-    gm = as_matrix(g, s.field)
-    if gm.shape != (s.n, s.n):
-        raise DimensionMismatch(f"expected a {s.n}x{s.n} matrix, got {gm.shape}")
-    numerics.require_conditioned(gm, tol)
-    return _image(gm, s, tol)
+    return _image(numerics._invertible(g, tol, s.field, s.n), s, tol)
 
 
 def _image(gm: np.ndarray, s: Subspace, tol: Tolerance) -> Subspace:
@@ -232,7 +218,7 @@ def _image(gm: np.ndarray, s: Subspace, tol: Tolerance) -> Subspace:
     q = numerics.orthonormalize(gm @ s.basis, tol)
     if q.shape[1] != s.k:
         raise IllConditioned("image dropped rank numerically")
-    return _subspace(s.field, s.n, s.k, q)
+    return _made(Subspace, field=s.field, n=s.n, k=s.k)._hold(q)
 
 
 def transitive_witness_gr(l1: Subspace, l2: Subspace) -> np.ndarray:
@@ -249,7 +235,8 @@ def transitive_witness_gr(l1: Subspace, l2: Subspace) -> np.ndarray:
 
 def orthogonal_complement(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     """Hermitian orthogonal complement, a subspace of dimension n-k."""
-    return _subspace(s.field, s.n, s.n - s.k, numerics.kernel(s.basis.conj().T, tol))
+    q = numerics.kernel(s.basis.conj().T, tol)
+    return _made(Subspace, field=s.field, n=s.n, k=s.n - s.k)._hold(q)
 
 
 def annihilator(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
@@ -260,7 +247,8 @@ def annihilator(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     Over R it coincides with the orthogonal complement; over C the two
     constructions generally differ.
     """
-    return _subspace(s.field, s.n, s.n - s.k, numerics.kernel(s.basis.T, tol))
+    q = numerics.kernel(s.basis.T, tol)
+    return _made(Subspace, field=s.field, n=s.n, k=s.n - s.k)._hold(q)
 
 
 def to_projective_point(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
@@ -278,14 +266,19 @@ def from_projective_point(p: ProjPoint) -> Subspace:
 def missing_locus(c: AffineChart, field: str = REAL) -> ProjSubspace:
     """The hyperplane {h_j = 0} that the chart misses, of projective dimension n - 1."""
     basis = np.delete(np.eye(c.n + 1, dtype=dtype_for(field)), c.j - 1, axis=1)
-    return ProjSubspace(_subspace(field, c.n + 1, c.n, basis))
+    return ProjSubspace(_made(Subspace, field=field, n=c.n + 1, k=c.n)._hold(basis))
 
 
 def proj_subspace_from_span(
     columns, tol: Tolerance = DEFAULT_TOLERANCE, field: str | None = None
 ) -> ProjSubspace:
     """P(L) for the span L of the given matrix columns in F^{n+1}."""
-    return ProjSubspace(subspace_from_span(columns, tol, field))
+    try:
+        return ProjSubspace(subspace_from_span(columns, tol, field))
+    except InvalidRange:  # only a span of all of F^{n+1} fails 1 <= dim L < n + 1
+        n = np.shape(columns)[0] - 1
+        raise InvalidRange("projective subspace dimension must satisfy 0 <= l < n, "
+                           f"got l = {n}, n = {n}") from None
 
 
 def point_membership(

@@ -455,7 +455,7 @@ def sphere_to_cp1(xyz, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     if v.shape[0] != 3:
         raise DimensionMismatch(f"expected 3 coordinates, got {v.shape[0]}")
     if abs(norm2(v) - 1.0) > 1e-6:
-        raise ValueError("expected a unit vector of R^3")
+        raise InvalidInput(f"expected a unit vector of R^3, got norm {norm2(v)!r}")
     if 1.0 - v[2] <= tol.eps_abs:
         return cp1_from_affine(INFINITY, tol)
     return cp1_from_affine(complex(v[0], v[1]) / (1.0 - v[2]), tol)

@@ -3,8 +3,10 @@
 Fix a scalar lam with |lam| > 1 (default 2) and identify two nonzero
 vectors whenever one is lam^m times the other for some integer m.  Each
 class contains exactly one representative with norm in the half-open
-window [1, |lam|), which is how a class is stored and printed.  Class
-equality is one distance, :func:`hopf_distance`, under eps.  For complex
+window [1, |lam|), which is how a class is stored and printed, and which
+:meth:`HopfPoint._hold` checks for the constructor and for
+:func:`quotient_project`.  Class equality is one distance,
+:func:`hopf_distance`, under eps.  For complex
 lam the action rotates by lam's phase at every power, not just by |lam|.
 
 Unlike the projective quotient, generic scalars are not identified:
@@ -28,14 +30,13 @@ from projgeo.numerics import (
     DEFAULT_TOLERANCE,
     REAL,
     Tolerance,
-    as_matrix,
+    _invertible,
     as_vector,
     field_of,
     in_span,
     norm2,
-    require_conditioned,
 )
-from projgeo.projective import ProjPoint, _point_of, _same_space
+from projgeo.projective import ProjPoint, _made, _point_of, _same_space
 
 # Norms within this relative slack of the window's upper edge |lam| are
 # treated as sitting on the boundary and snapped to the lower edge 1.
@@ -95,13 +96,21 @@ class HopfPoint:
     rep: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.rep)
+        self._hold(np.array(self.rep))
+
+    def _hold(self, arr: np.ndarray, nrm: float | None = None) -> "HopfPoint":
+        """Check a representative against the window and hold it read-only,
+        without a copy; ``nrm`` is norm2(arr) when the caller has taken it."""
         if arr.ndim != 1:
             raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
-        if not _in_window(norm2(arr), self.group):
-            raise ValueError("representative norm must lie in [1, |lam|)")
+        if nrm is None:
+            nrm = norm2(arr)
+        if not _in_window(nrm, self.group):
+            raise NotCanonical(f"representative norm {nrm:.17g} outside the window "
+                               f"[1, {self.group.abs_scale:.17g})")
         arr.setflags(write=False)
         object.__setattr__(self, "rep", arr)
+        return self
 
     @property
     def field(self) -> str:
@@ -135,8 +144,8 @@ def _in_window(nrm: float, group: ScaleGroup) -> bool:
 def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
     """:func:`quotient_project` of a finite float64 or complex128 vector.
 
-    The representative is checked here, once, against the window of the
-    HopfPoint constructor, and held without a copy.
+    The representative is checked once, by the constructor's
+    :meth:`HopfPoint._hold`, and held without a copy.
     """
     lam = group.lam
     if vec.dtype.kind != "c" and not group.is_real:
@@ -154,18 +163,9 @@ def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
     rep = _scaled(vec, lam, -m, log_a)
     rep_nrm = norm2(rep)
     if rep_nrm >= a * (1.0 - _EDGE_SLACK):
-        m += 1
-        rep = _scaled(vec, lam, -m, log_a)
+        rep = _scaled(vec, lam, -m - 1, log_a)
         rep_nrm = norm2(rep)
-    if not _in_window(rep_nrm, group):
-        raise NotCanonical(
-            f"representative norm {rep_nrm:.17g} outside the window [1, {a:.17g})"
-        )
-    rep.setflags(write=False)
-    point = object.__new__(HopfPoint)
-    object.__setattr__(point, "group", group)
-    object.__setattr__(point, "rep", rep)
-    return point
+    return _made(HopfPoint, group=group)._hold(rep, rep_nrm)
 
 
 def _scaled(vec: np.ndarray, lam, m: int, log_a: float) -> np.ndarray:
@@ -229,10 +229,7 @@ def induced_linear(
     Well-defined because linear maps commute with scalar multiplication;
     the result does not depend on which class member was stored.
     """
-    gm = as_matrix(g, point.field)
-    if gm.shape != (point.n, point.n):
-        raise DimensionMismatch(f"expected a {point.n}x{point.n} matrix, got {gm.shape}")
-    require_conditioned(gm, tol)
+    gm = _invertible(g, tol, point.field, point.n)
     return _project(gm @ point.rep, point.group, tol)
 
 

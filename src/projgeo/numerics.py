@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from projgeo.errors import (
+    DimensionMismatch,
     FieldMismatch,
     IllConditioned,
     InvalidInput,
@@ -42,9 +43,9 @@ class Tolerance:
 
     def __post_init__(self):
         if not 0.0 < self.eps_abs < math.inf:
-            raise ValueError(f"eps_abs must be positive and finite, got {self.eps_abs!r}")
+            raise InvalidInput(f"eps_abs must be positive and finite, got {self.eps_abs!r}")
         if not 1.0 < self.cond_max < math.inf:
-            raise ValueError(f"cond_max must be greater than 1 and finite, got {self.cond_max!r}")
+            raise InvalidInput(f"cond_max must be greater than 1 and finite, got {self.cond_max!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -55,7 +56,7 @@ def dtype_for(field: str) -> type:
     try:
         return _DTYPES[field]
     except KeyError:
-        raise ValueError(f"unknown field {field!r}") from None
+        raise InvalidInput(f"unknown field {field!r}") from None
 
 
 def field_of(a: np.ndarray) -> str:
@@ -128,31 +129,43 @@ def as_matrix(m, field: str | None = None) -> np.ndarray:
     return arr
 
 
+def _condition(a: np.ndarray, cap: float = math.inf) -> float:
+    """Singular-value ratio of a coerced matrix, inf when singular; raises
+    IllConditioned when it exceeds ``cap``."""
+    s = np.linalg.svd(a, compute_uv=False)
+    c = math.inf if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
+    if c > cap:
+        raise IllConditioned(f"condition estimate {c:.3e} exceeds cap {cap:.3e}")
+    return c
+
+
 def cond_estimate(m) -> float:
     """Singular-value-ratio condition estimate; inf when singular."""
-    s = np.linalg.svd(as_matrix(m), compute_uv=False)
-    if s.size == 0 or s[-1] == 0.0:
-        return math.inf
-    return float(s[0] / s[-1])
+    return _condition(as_matrix(m))
 
 
 def require_conditioned(a: np.ndarray, tol: Tolerance) -> None:
-    """The conditioning guard: raise IllConditioned when the condition
+    """The conditioning cap alone: raise IllConditioned when the condition
     estimate of ``a`` exceeds ``tol.cond_max``."""
-    c = cond_estimate(a)
-    if c > tol.cond_max:
-        raise IllConditioned(
-            f"condition estimate {c:.3e} exceeds cap {tol.cond_max:.3e}"
-        )
+    _condition(as_matrix(a), tol.cond_max)
+
+
+def _invertible(m, tol: Tolerance, field: str | None = None, size: int | None = None) -> np.ndarray:
+    """The conditioning guard: the caller's matrix coerced once (over ``field``
+    when given), square (NotSquare), ``size`` x ``size`` when given
+    (DimensionMismatch) and within ``tol.cond_max``, returned coerced."""
+    a = as_matrix(m, field)
+    if a.shape[0] != a.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+    if size is not None and a.shape[0] != size:
+        raise DimensionMismatch(f"expected a {size}x{size} matrix, got {a.shape}")
+    _condition(a, tol.cond_max)
+    return a
 
 
 def invert(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Matrix inverse, guarded by the conditioning cap."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquare(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
-    require_conditioned(a, tol)
-    return np.linalg.inv(a)
+    return np.linalg.inv(_invertible(m, tol))
 
 
 def orthonormalize(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:

@@ -6,7 +6,8 @@ whose pivot coordinate is real and strictly positive, the pivot being
 the entry of largest modulus (smallest index wins near-ties).  Invertible
 matrices act on lines and so descend to projective maps; two matrices act
 identically exactly when they differ by a nonzero scalar, so maps are
-stored at unit Frobenius norm with the same pivot convention.
+stored at unit Frobenius norm with the same pivot convention.  One check,
+:func:`_check_canonical`, tests both, for the builders and the constructors.
 
 The representative is only how a class is stored and printed: no choice
 of one can depend continuously on the line (the Hopf bundle has no global
@@ -38,7 +39,6 @@ from projgeo.numerics import (
     DEFAULT_TOLERANCE,
     REAL,
     Tolerance,
-    as_matrix,
     as_vector,
     dtype_for,
 )
@@ -54,14 +54,12 @@ def _pivot_index(values: np.ndarray, eps: float) -> int:
 
 
 def _canonical(values: np.ndarray, tol: Tolerance, zero: float) -> np.ndarray:
-    """The unit multiple of a nonzero array, flattened row-major, whose
-    pivot entry is real and positive.
+    """The unit multiple of a nonzero array, flattened row-major and set
+    read-only, whose pivot entry is real and positive.
 
     A norm at or below ``zero`` raises ZeroVector: eps for user input, 0.0
     for arrays that cannot vanish, such as images under guarded maps.
-    This is the one check of a representative that projgeo makes itself:
-    the result is tested here, at the pivot just chosen, against the
-    bounds of the ProjPoint and ProjMap constructors.
+    The result passes :func:`_check_canonical` at the pivot just chosen.
     """
     nrm = numerics.norm2(values)
     if nrm <= zero:
@@ -75,46 +73,54 @@ def _canonical(values: np.ndarray, tol: Tolerance, zero: float) -> np.ndarray:
         r = u * (abs(a) / a)
     else:
         r = u if a > 0 else -u
-    deviation, top = abs(math.sqrt(np.vdot(r, r).real) - 1.0), r[k]
-    if deviation > 1e-12 or not (top.real > 0.0 and abs(top.imag) <= 1e-12):
-        raise NotCanonical(
-            f"representative off canonical form: |norm - 1| = {deviation:.3g}, "
-            f"pivot {complex(top):.3g} at index {k} (bounds 1e-12)"
-        )
+    _check_canonical(r, k, values.ndim == 2)
+    r.setflags(write=False)
     return r
 
 
-def _trusted(cls, arr: np.ndarray, n: int, name: str):
-    """A ProjPoint or ProjMap around a representative that :func:`_canonical`
-    has just made and checked: set read-only, neither copied nor checked again."""
-    arr.setflags(write=False)
+def _real_positive(x):
+    """Whether an entry, or each entry of an array, is real and positive."""
+    return (x.real > 0.0) & (abs(x.imag) <= 1e-12)
+
+
+def _check_canonical(flat: np.ndarray, k: int, matrix: bool) -> None:
+    """The one test of a canonical representative, flattened row-major, at
+    its pivot index ``k``: unit norm, and a real positive pivot, each to
+    1e-12.  A NaN entry fails it."""
+    deviation, top = abs(math.sqrt(np.vdot(flat, flat).real) - 1.0), complex(flat[k])
+    if deviation <= 1e-12 and _real_positive(top):
+        return
+    what = (f"pivot {'entry' if matrix else 'coordinate'} must be real and positive"
+            if deviation <= 1e-12 else "canonical representative must have unit norm")
+    raise NotCanonical(f"{what}: |norm - 1| = {deviation:.3g}, pivot {top:.3g} "
+                       f"at index {k} (bounds 1e-12)")
+
+
+def _made(cls, **fields):
+    """A frozen ``cls`` holding ``fields``, made without its __post_init__:
+    for arrays that projgeo has just built and that its caller checks."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, "field", COMPLEX if arr.dtype.kind == "c" else REAL)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, name, arr)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
 def _frozen_canonical(values, field: str, shape: tuple, expected: str) -> np.ndarray:
     """Read-only copy of a representative that :func:`_canonical` yields at
-    some eps > 0: unit norm, and some entry (row-major) real and positive
-    and larger in modulus than every entry before it."""
+    some eps > 0, tested at its admissible pivot: the first largest entry
+    (row-major) if that is real and positive, else the first real positive
+    entry larger in modulus than every entry before it."""
     arr = np.array(values, dtype=dtype_for(field))
     if arr.shape != shape:
         raise DimensionMismatch(f"expected {expected}, got shape {arr.shape}")
-    matrix = arr.ndim == 2
     flat = arr.ravel()
-    mods = np.abs(flat)
-    if abs(math.sqrt(mods @ mods) - 1.0) > 1e-12:
-        norm = "Frobenius norm" if matrix else "norm"
-        raise ValueError(f"canonical representative must have unit {norm}")
-    top = complex(flat[mods.argmax()])  # the first largest entry, the usual pivot
-    if not (top.real > 0.0 and abs(top.imag) <= 1e-12):
-        ok = (flat.real > 0.0) & (np.abs(flat.imag) <= 1e-12)
+    mods = abs(flat)
+    k = int(mods.argmax())
+    if not _real_positive(flat[k]):
+        ok = _real_positive(flat)
         ok[1:] &= mods[1:] > np.maximum.accumulate(mods)[:-1]
-        if not ok.any():
-            what = "entry" if matrix else "coordinate"
-            raise ValueError(f"pivot {what} must be real and positive")
+        k = int(ok.argmax()) if ok.any() else k
+    _check_canonical(flat, k, arr.ndim == 2)
     arr.setflags(write=False)
     return arr
 
@@ -198,7 +204,7 @@ def _point_of(v: np.ndarray, tol: Tolerance, zero: float = 0.0) -> ProjPoint:
     needs no coercion.  By default only an exact zero is rejected: projgeo
     passes here vectors that cannot vanish, such as images under guarded maps."""
     h = _canonical(v, tol, zero)
-    return _trusted(ProjPoint, h, h.shape[0] - 1, "h")
+    return _made(ProjPoint, field=COMPLEX if h.dtype.kind == "c" else REAL, n=h.shape[0] - 1, h=h)
 
 
 def _class_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -239,21 +245,20 @@ def map_from_matrix(
 
     Raises
     ------
+    NotSquare
+        If the matrix is not square; it is a DimensionMismatch.
     IllConditioned
         If the condition estimate exceeds ``tol.cond_max``.
     """
-    a = as_matrix(A, field)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"projective maps need square matrices, got {a.shape}")
-    numerics.require_conditioned(a, tol)
-    return _map_class(a, tol, tol.eps_abs)
+    return _map_class(numerics._invertible(A, tol, field), tol, tol.eps_abs)
 
 
 def _map_class(a: np.ndarray, tol: Tolerance, zero: float = 0.0) -> ProjMap:
     """Class of a square matrix, unguarded: for inverses of guarded matrices
     (cond(A^-1) = cond(A)) and for unitaries built here.  By default only an
     exact zero is rejected, as in :func:`_point_of`."""
-    return _trusted(ProjMap, _canonical(a, tol, zero).reshape(a.shape), a.shape[0] - 1, "M")
+    m = _canonical(a, tol, zero).reshape(a.shape)
+    return _made(ProjMap, field=COMPLEX if m.dtype.kind == "c" else REAL, n=m.shape[0] - 1, M=m)
 
 
 def map_distance(t1: ProjMap, t2: ProjMap) -> float:
@@ -282,9 +287,7 @@ def apply_map(t: ProjMap, p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> P
 def compose(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """Composite map: apply ``t2`` first, then ``t1``."""
     _same_space(t1, t2)
-    a = t1.M @ t2.M
-    numerics.require_conditioned(a, tol)
-    return _map_class(a, tol)
+    return _map_class(numerics._invertible(t1.M @ t2.M, tol), tol)
 
 
 def inverse_map(t: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:

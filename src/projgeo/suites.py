@@ -268,8 +268,12 @@ def _prop_projective_consistency(rng, i, tol, lam):
 # --- hopf manifold -------------------------------------------------------
 
 
-def _hopf_fields(group: hopf_manifold.ScaleGroup) -> tuple[str, ...]:
-    return (REAL, COMPLEX) if group.is_real else (COMPLEX,)
+def _hopf_trial(i: int, lam) -> tuple[hopf_manifold.ScaleGroup, str, int]:
+    """The scale group, field and shape-cycle index of trial ``i``: the
+    fields the scale acts on alternate fastest.  It draws nothing."""
+    group = hopf_manifold.ScaleGroup(lam)
+    fields = (REAL, COMPLEX) if group.is_real else (COMPLEX,)
+    return group, fields[i % len(fields)], i // len(fields)
 
 
 # A vector scaled by a power of |lam| must keep its norm inside
@@ -293,11 +297,9 @@ def _clear_powers(v, a: float, tol: Tolerance, lowest: int, count: int) -> tuple
 
 
 def _prop_canonical_window(rng, i, tol, lam):
-    group = hopf_manifold.ScaleGroup(lam)
-    fields = _hopf_fields(group)
+    group, field, j = _hopf_trial(i, lam)
     a = group.abs_scale
-    field = fields[i % len(fields)]
-    n = _DIMS[(i // len(fields)) % len(_DIMS)]
+    n = _DIMS[j % len(_DIMS)]
     v = rand_nonzero_vector(rng, n, field)
     lo, hi = _clear_powers(v, a, tol, -6, 13)
     v = v * (a ** rng.integers(lo, hi + 1))  # spread norms across many windows
@@ -311,10 +313,8 @@ def _prop_canonical_window(rng, i, tol, lam):
 
 
 def _prop_class_equality(rng, i, tol, lam):
-    group = hopf_manifold.ScaleGroup(lam)
-    fields = _hopf_fields(group)
-    field = fields[i % len(fields)]
-    n = _DIMS[(i // len(fields)) % len(_DIMS)]
+    group, field, j = _hopf_trial(i, lam)
+    n = _DIMS[j % len(_DIMS)]
     v = rand_nonzero_vector(rng, n, field)
     lo, hi = _clear_powers(v, group.abs_scale, tol, -8, 17)
     m = int(rng.integers(lo, hi + 1))
@@ -326,10 +326,8 @@ def _prop_class_equality(rng, i, tol, lam):
 
 
 def _prop_projection_factorizes(rng, i, tol, lam):
-    group = hopf_manifold.ScaleGroup(lam)
-    fields = _hopf_fields(group)
-    field = fields[i % len(fields)]
-    n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
+    group, field, j = _hopf_trial(i, lam)
+    n = _DIMS[j % len(_DIMS)] + 1
     v = rand_nonzero_vector(rng, n, field)
     lo, hi = _clear_powers(v, group.abs_scale, tol, -6, 13)
     m = int(rng.integers(lo, hi + 1))
@@ -340,10 +338,8 @@ def _prop_projection_factorizes(rng, i, tol, lam):
 
 
 def _prop_equivariance(rng, i, tol, lam):
-    group = hopf_manifold.ScaleGroup(lam)
-    fields = _hopf_fields(group)
-    field = fields[i % len(fields)]
-    n = _DIMS[(i // len(fields)) % len(_DIMS)] + 1
+    group, field, j = _hopf_trial(i, lam)
+    n = _DIMS[j % len(_DIMS)] + 1
     v = rand_nonzero_vector(rng, n, field)
     g = rand_invertible(rng, n, field)
     h = hopf_manifold.quotient_project(v, group, tol)
@@ -361,10 +357,8 @@ def _prop_equivariance(rng, i, tol, lam):
 
 
 def _prop_trace_invariance(rng, i, tol, lam):
-    group = hopf_manifold.ScaleGroup(lam)
-    fields = _hopf_fields(group)
-    field = fields[i % len(fields)]
-    n, k = _GR_SHAPES[(i // len(fields)) % len(_GR_SHAPES)]
+    group, field, j = _hopf_trial(i, lam)
+    n, k = _GR_SHAPES[j % len(_GR_SHAPES)]
     s = rand_subspace(rng, n, k, field, tol)
     inside = s.basis @ rand_nonzero_vector(rng, k, field)
     outside = rand_nonzero_vector(rng, n, field)

@@ -8,21 +8,18 @@ and only on purpose.
 """
 
 import ast
+import math
 from pathlib import Path
 
+import pytest
+
 import projgeo
+from projgeo.errors import InvalidInput
 
 BARE = ("ValueError", "TypeError")
 BARE_SITES = [  # (module, enclosing function, exception)
-    ("hopf_fibration", "sphere_to_cp1", "ValueError"),
-    ("hopf_manifold", "HopfPoint.__post_init__", "ValueError"),
     ("jsonio", "_write", "TypeError"),
     ("jsonio", "encode", "TypeError"),
-    ("numerics", "Tolerance.__post_init__", "ValueError"),
-    ("numerics", "Tolerance.__post_init__", "ValueError"),
-    ("numerics", "dtype_for", "ValueError"),
-    ("projective", "_frozen_canonical", "ValueError"),
-    ("projective", "_frozen_canonical", "ValueError"),
 ]
 
 
@@ -58,3 +55,20 @@ def test_the_ratchet_sees_methods_nested_functions_and_bare_names():
     )
     assert _bare_raises(ast.parse(code), "m") == [
         ("m", "A.f", "ValueError"), ("m", "g.h", "TypeError")]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: projgeo.Tolerance(eps_abs=0.0), "eps_abs must be positive and finite, got 0.0"),
+        (lambda: projgeo.Tolerance(cond_max=1.0), "cond_max must be greater than 1 and finite, got 1.0"),
+        (lambda: projgeo.Tolerance(cond_max=math.nan), "cond_max must be greater than 1 and finite, got nan"),
+        (lambda: projgeo.numerics.dtype_for("quaternion"), "unknown field 'quaternion'"),
+        (lambda: projgeo.sphere_to_cp1([0.0, 0.0, 2.0]), "expected a unit vector of R^3, got norm 2.0"),
+    ],
+    ids=["eps", "cond", "cond-nan", "field", "sphere"],
+)
+def test_former_bare_raises_are_invalid_input_naming_the_value(call, message):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert str(info.value) == message

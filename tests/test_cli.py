@@ -117,6 +117,34 @@ def test_apply_ill_conditioned_exits_4(docs, tmp_path):
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "operand, matrix, code",
+    [
+        ("subspace", np.ones((4, 3)), 3),
+        ("subspace", np.eye(3), 3),
+        ("subspace", np.diag([1.0, 1.0, 1.0, 1e-15]), 4),
+        ("hopf_point", np.ones((2, 3)), 3),
+        ("hopf_point", np.eye(3), 3),
+        ("hopf_point", np.diag([1.0, 1e-15]), 4),
+    ],
+    ids=["gl-not-square", "gl-wrong-size", "gl-singular",
+         "hopf-not-square", "hopf-wrong-size", "hopf-singular"],
+)
+def test_apply_a_bad_matrix_exits_3_for_its_shape_and_4_near_singular(
+    docs, capsys, operand, matrix, code
+):
+    target = (subspace_from_span(np.eye(4)[:, :2]) if operand == "subspace"
+              else quotient_project([1.0, 1.0]))
+    assert cli.main(["apply", docs("g.json", matrix), docs("x.json", target)]) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_apply_a_non_square_proj_map_document_exits_3(tmp_path, docs):
+    doc = {"kind": "proj_map", "field": "real", "n": 1, "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+    path = write_doc(tmp_path / "m.json", json.dumps(doc))
+    assert cli.main(["apply", path, docs("p.json", point_from_vector([1.0, 0.0]))]) == 3
+
+
 def test_fiber_real_two_rows(docs):
     res = run_cli("fiber", docs("p.json", point_from_vector([1.0, 0.0])))
     assert res.returncode == 0
@@ -544,8 +572,11 @@ def test_missing_field_exits_2_naming_kind_and_field(tmp_path, capsys, kind, mis
          "vector document field 'v': expected a number, got '1e0'"),
         ('{"kind": "vector", "field": "real", "v": [1.0], "n": 0}',
          "vector document has unknown field 'n'"),
+        ('{"kind": "proj_subspace", "field": "real", "n": 2, '
+         '"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+         "projective subspace dimension must satisfy 0 <= l < n, got l = 2, n = 2"),
     ],
-    ids=["declared-n", "v-not-a-list", "string-entry", "unknown-key"],
+    ids=["declared-n", "v-not-a-list", "string-entry", "unknown-key", "whole-span"],
 )
 def test_invalid_document_exits_2_naming_kind_and_field(tmp_path, capsys, text, message):
     path = write_doc(tmp_path / "doc.json", text)

@@ -298,7 +298,7 @@ def test_subspace_and_chart_errors_are_typed_and_name_their_values():
         Subspace("real", 3, 1, [[2.0], [0.0], [0.0]])
     with pytest.raises(NotCanonical, match=r"= nan, bound 1e-10"):
         Subspace("real", 3, 1, [[np.nan], [0.0], [0.0]])
-    with pytest.raises(InvalidRange, match="1 <= k < n, got k = 3, n = 3"):
+    with pytest.raises(InvalidRange, match="0 <= l < n, got l = 2, n = 2"):
         proj_subspace_from_span(np.eye(3))
     transverse = r"not transverse: smallest singular value \S+ <= eps 1e-09"
     with pytest.raises(InvalidInput, match=transverse):

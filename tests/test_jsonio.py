@@ -17,7 +17,7 @@ from projgeo import (
     subspace_from_span,
 )
 from projgeo import jsonio
-from projgeo.errors import InvalidInput, ProjGeoError
+from projgeo.errors import InvalidInput, InvalidRange, ProjGeoError
 from projgeo.jsonio import decode, dumps, encode
 
 
@@ -222,6 +222,13 @@ def test_a_bad_field_is_named_with_its_value(text, message):
     with pytest.raises(InvalidInput) as info:
         decode(json.loads(text))
     assert str(info.value) == message
+
+
+def test_a_whole_span_proj_subspace_names_its_projective_dimensions():
+    doc = {"kind": "proj_subspace", "field": "real", "n": 2, "basis": np.eye(3).tolist()}
+    with pytest.raises(InvalidRange) as info:
+        decode(doc)
+    assert str(info.value) == "projective subspace dimension must satisfy 0 <= l < n, got l = 2, n = 2"
 
 
 # --- fuzz: every document decodes to a wire object or raises a typed error ------
