@@ -55,7 +55,10 @@ def _tolerance(args) -> Tolerance:
     eps = getattr(args, "eps", None)
     if eps is None:
         env = os.environ.get(ENV_EPS)
-        eps = float(env) if env else DEFAULT_TOLERANCE.eps_abs
+        try:
+            eps = float(env) if env else DEFAULT_TOLERANCE.eps_abs
+        except ValueError:
+            raise InvalidInput(f"${ENV_EPS} must be a number, got {env!r}") from None
     return Tolerance(eps, getattr(args, "cond_max", DEFAULT_TOLERANCE.cond_max))
 
 
@@ -71,6 +74,8 @@ def _read(tol: Tolerance, *paths: str, want=object, error: str = ""):
                 doc = json.load(fh)
             except RecursionError:
                 raise InvalidInput(f"{path}: JSON nested too deeply") from None
+            except UnicodeDecodeError as exc:
+                raise InvalidInput(f"{path}: not UTF-8 text at byte {exc.start}") from None
         objs.append(jsonio.decode(doc, tol))
     if not all(jsonio.matches(obj, want) for obj in objs):
         raise DimensionMismatch(error)
@@ -86,8 +91,7 @@ def _emit(obj) -> None:
 # --- subcommands ----------------------------------------------------------
 
 
-def _cmd_apply(args) -> int:
-    tol = _tolerance(args)
+def _cmd_apply(args, tol: Tolerance) -> int:
     mapping, operand = _read(tol, args.map_file, args.point_file)
 
     if isinstance(mapping, ProjMap) and isinstance(operand, ProjPoint):
@@ -115,23 +119,20 @@ def _cmd_apply(args) -> int:
     )
 
 
-def _cmd_fiber(args) -> int:
+def _cmd_fiber(args, tol: Tolerance) -> int:
     """One CSV row per sphere point: t, then its real coordinates (re/im
     interleaved over C), then the stereographic X, Y, Z when asked."""
-    tol = _tolerance(args)
     p = _read(tol, args.point_file, want=ProjPoint,
               error="fiber expects a proj_point document")
+    # the stereographic columns come first, so that their CP^1 check runs before any sampling
+    stereo = hopf_fibration.fiber_stereo_samples(p, args.samples) if args.stereo else None
     if p.field == REAL:
-        if args.stereo:
-            raise FieldMismatch("--stereo needs a complex point of CP^1")
         table = np.stack([x.x for x in hopf_fibration.real_fiber(p)])
     else:
-        if args.stereo and p.n != 1:
-            raise DimensionMismatch("--stereo is defined for CP^1 points only")
         table = hopf_fibration.complex_fiber_sample(p, args.samples).view(np.float64)
     names = [f"x{i + 1}" for i in range(table.shape[1])]
     if args.stereo:
-        table = np.hstack([table, hopf_fibration.fiber_stereo_samples(p, args.samples)])
+        table = np.hstack([table, stereo])
         names += ["X", "Y", "Z"]
     row = "%d" + f",{jsonio.FLOAT_FORMAT}" * len(names) + "\n"
     sys.stdout.write(",".join(["t", *names]) + "\n")
@@ -141,8 +142,7 @@ def _cmd_fiber(args) -> int:
     return 0
 
 
-def _cmd_chart(args) -> int:
-    tol = _tolerance(args)
+def _cmd_chart(args, tol: Tolerance) -> int:
     if args.action == "extract":
         p = _read(tol, args.input, want=ProjPoint,
                   error="extract expects a proj_point document")
@@ -162,8 +162,7 @@ def _cmd_chart(args) -> int:
     return 0
 
 
-def _cmd_grassmann(args) -> int:
-    tol = _tolerance(args)
+def _cmd_grassmann(args, tol: Tolerance) -> int:
     if args.action in ("complement", "annihilator"):
         s = _read(tol, args.subspace, want=Subspace,
                   error=f"{args.action} expects a subspace document")
@@ -192,8 +191,7 @@ def _cmd_grassmann(args) -> int:
     return 0
 
 
-def _cmd_hopf(args) -> int:
-    tol = _tolerance(args)
+def _cmd_hopf(args, tol: Tolerance) -> int:
     if args.action == "to-projective":  # the document carries its own lambda
         h = _read(tol, args.vector, want=HopfPoint,
                   error="to-projective expects a hopf_point document")
@@ -214,8 +212,7 @@ def _cmd_hopf(args) -> int:
     return 0
 
 
-def _cmd_link(args) -> int:
-    tol = _tolerance(args)
+def _cmd_link(args, tol: Tolerance) -> int:
     p, q = _read(tol, args.point_file, args.other_file, want=ProjPoint,
                  error="link expects two proj_point documents")
     count = hopf_fibration.linking_number(p, q, args.samples, tol)
@@ -229,8 +226,7 @@ def _cmd_link(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    tol = _tolerance(args)
+def _cmd_check(args, tol: Tolerance) -> int:
     lam = _parse_scalar(args.lam)
     if not 0 <= args.seed < 2 ** 64:
         raise InvalidRange("seed must fit in 64 unsigned bits")
@@ -350,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (json.JSONDecodeError, OSError, ValueError, ProjGeoError) as exc:
+        return args.func(args, _tolerance(args))
+    except (json.JSONDecodeError, OSError, ProjGeoError) as exc:
         print(f"projgeo: {exc}", file=sys.stderr)
         if isinstance(exc, (DimensionMismatch, FieldMismatch, ShapeMismatch, SamePoint)):
             return 3

@@ -255,7 +255,7 @@ def to_projective_point(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Proj
     """The point of P^{n-1} carried by a line (k = 1 subspace)."""
     if s.k != 1:
         raise InvalidRange("only 1-dimensional subspaces are projective points")
-    return _point_of(s.basis[:, 0], tol)
+    return _point_of(s.basis[:, 0])
 
 
 def from_projective_point(p: ProjPoint) -> Subspace:

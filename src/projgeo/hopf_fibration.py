@@ -31,13 +31,13 @@ from projgeo.errors import (
     SamePoint,
     SingularCoefficients,
     Unresolved,
-    ZeroVector,
 )
 from projgeo.numerics import (
     COMPLEX,
     DEFAULT_TOLERANCE,
     REAL,
     Tolerance,
+    _unit,
     as_vector,
     dtype_for,
     field_of,
@@ -50,9 +50,6 @@ from projgeo.projective import (
     map_from_matrix,
     points_equal,
 )
-
-
-_NORMAL_MIN = np.finfo(np.float64).tiny
 
 
 def _require_unit(rows: np.ndarray) -> np.ndarray:
@@ -86,13 +83,7 @@ def sphere_point(
     v, tol: Tolerance = DEFAULT_TOLERANCE, field: str | None = None
 ) -> SpherePoint:
     """Normalize a nonzero vector onto the unit sphere."""
-    vec = as_vector(v, field)
-    nrm = norm2(vec)
-    if nrm <= tol.eps_abs:
-        raise ZeroVector("cannot normalize the zero vector")
-    if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
-        return sphere_point(vec * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), tol)
-    u = vec / nrm
+    u = _unit(as_vector(v, field), tol.eps_abs, "normalize")
     return SpherePoint(field_of(u), u.shape[0], u)
 
 
@@ -138,9 +129,7 @@ def extended_equal(a, b, eps: float = DEFAULT_TOLERANCE.eps_abs) -> bool:
 def hopf_project(x, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     """The point of projective space on the line through a sphere point:
     a SpherePoint, or a unit vector such as a row of a fiber sample."""
-    if isinstance(x, SpherePoint):
-        return _point_of(x.x, tol)
-    return _point_of(_require_unit(as_vector(x)), tol)
+    return _point_of(x.x if isinstance(x, SpherePoint) else _require_unit(as_vector(x)))
 
 
 def real_fiber(p: ProjPoint) -> tuple[SpherePoint, SpherePoint]:
@@ -240,14 +229,22 @@ def _clear_pole(*reps: np.ndarray) -> tuple[np.ndarray, ...]:
     raise DegenerateProjection("no pole-avoiding rotation found")
 
 
+def _require_cp1(*points: ProjPoint) -> None:
+    """The one CP^1 operand check: FieldMismatch for a real point,
+    DimensionMismatch for a complex point of CP^n with n != 1."""
+    for p in points:
+        if p.field != COMPLEX or p.n != 1:
+            error = FieldMismatch if p.field != COMPLEX else DimensionMismatch
+            raise error(f"expected a point of CP^1, got a {p.field} point with n = {p.n}")
+
+
 def fiber_stereo_samples(p: ProjPoint, m: int) -> np.ndarray:
     """R^3 stereographic coordinates of m fiber samples over a CP^1 point.
 
     The fiber is rotated by a fixed rotation first whenever it passes
     near the projection pole, so the output is always finite.
     """
-    if p.field != COMPLEX or p.n != 1:
-        raise FieldMismatch("stereographic fiber coordinates need a CP^1 point")
+    _require_cp1(p)
     if m < 1:
         raise InvalidRange("need at least one sample")
     (h,) = _clear_pole(p.h)
@@ -258,8 +255,7 @@ def _linked_pair(
     p: ProjPoint, q: ProjPoint, m: int, tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated fiber representatives of a linking computation, moved off the pole."""
-    if p.field != COMPLEX or q.field != COMPLEX or p.n != 1 or q.n != 1:
-        raise FieldMismatch("linking is computed for fibers over CP^1 points")
+    _require_cp1(p, q)
     if m < 64:
         raise InvalidRange("need at least 64 segments per fiber")
     if points_equal(p, q, tol):
@@ -411,8 +407,7 @@ def linking_number(
 
 def cp1_affine(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ExtendedComplex:
     """Affine coordinate z = h1/h2 of a CP^1 point; [1 : 0] maps to inf."""
-    if p.field != COMPLEX or p.n != 1:
-        raise FieldMismatch("affine coordinates are defined on CP^1")
+    _require_cp1(p)
     if abs(p.h[1]) <= tol.eps_abs:
         return INFINITY
     return ExtendedComplex(complex(p.h[0] / p.h[1]))
@@ -427,7 +422,7 @@ def cp1_from_affine(z, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
         vec = np.array([ez.z, 1.0], dtype=np.complex128)
     else:  # the same line, scaled to stay well-conditioned for huge |z|
         vec = np.array([1.0, 1.0 / ez.z], dtype=np.complex128)
-    return _point_of(vec, tol)
+    return _point_of(vec)
 
 
 def cp1_to_sphere(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
@@ -438,8 +433,7 @@ def cp1_to_sphere(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarra
     homogeneous coordinates so that inf lands on the north pole
     (0, 0, 1) by the same formula.
     """
-    if p.field != COMPLEX or p.n != 1:
-        raise FieldMismatch("the sphere identification is defined on CP^1")
+    _require_cp1(p)
     h1, h2 = complex(p.h[0]), complex(p.h[1])
     w = h1 * h2.conjugate()
     return np.array([2.0 * w.real, 2.0 * w.imag, abs(h1) ** 2 - abs(h2) ** 2])

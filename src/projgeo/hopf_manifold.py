@@ -32,6 +32,7 @@ from projgeo.numerics import (
     Tolerance,
     _invertible,
     as_vector,
+    dtype_for,
     field_of,
     in_span,
     norm2,
@@ -75,8 +76,7 @@ class ScaleGroup:
 
         Raises InvalidRange when lam^m overflows, or underflows to zero.
         """
-        if field == REAL and not self.is_real:
-            raise FieldMismatch("a complex scale does not act on real vectors")
+        self._acts_on(field)
         try:
             value = self.lam ** m
         except OverflowError:  # a float power overflows by raising, a complex one to nan
@@ -87,6 +87,11 @@ class ScaleGroup:
             )
         return value
 
+    def _acts_on(self, field: str) -> None:
+        """Raise FieldMismatch when this group cannot act on vectors of ``field``."""
+        if field == REAL and not self.is_real:
+            raise FieldMismatch("a complex scale does not act on real vectors")
+
 
 @dataclass(frozen=True, eq=False)
 class HopfPoint:
@@ -96,7 +101,9 @@ class HopfPoint:
     rep: np.ndarray
 
     def __post_init__(self):
-        self._hold(np.array(self.rep))
+        field = field_of(self.rep)
+        self.group._acts_on(field)
+        self._hold(np.array(self.rep, dtype=dtype_for(field)))
 
     def _hold(self, arr: np.ndarray, nrm: float | None = None) -> "HopfPoint":
         """Check a representative against the window and hold it read-only,
@@ -148,8 +155,7 @@ def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
     :meth:`HopfPoint._hold`, and held without a copy.
     """
     lam = group.lam
-    if vec.dtype.kind != "c" and not group.is_real:
-        raise FieldMismatch("a complex scale does not act on real vectors")
+    group._acts_on(field_of(vec))
     nrm = norm2(vec)
     if nrm <= tol.eps_abs:
         raise ZeroVector("cannot project the zero vector")
@@ -218,7 +224,7 @@ def to_projective(point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjP
     Constant on classes: scaling by lam^m does not move the line, so the
     quotient projection factors through this map.
     """
-    return _point_of(point.rep, tol)
+    return _point_of(point.rep)
 
 
 def induced_linear(

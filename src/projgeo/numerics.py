@@ -20,6 +20,7 @@ from projgeo.errors import (
     NotSquare,
     RankDeficientToZero,
     ShapeMismatch,
+    ZeroVector,
 )
 
 REAL = "real"
@@ -67,6 +68,7 @@ def field_of(a: np.ndarray) -> str:
 # Below this a sum of squares may have lost digits to underflow: each square
 # under the smallest normal double is off by up to half a subnormal ulp.
 _SUMSQ_MIN = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+_NORMAL_MIN = np.finfo(np.float64).tiny
 
 # norm2 tries the unscaled sum of squares first and rescales when it
 # overflows, so numpy's overflow warnings from this module are expected;
@@ -100,6 +102,17 @@ def norm2(x) -> float:
     if not 0.0 < top < math.inf:  # zero, or an inf or nan entry
         return top
     return top * norm2(flat / top)
+
+
+def _unit(x: np.ndarray, zero: float, verb: str) -> np.ndarray:
+    """``x`` divided by its :func:`norm2`, at any finite scale; a norm at or
+    below ``zero`` raises ZeroVector("cannot <verb> the zero vector")."""
+    nrm = norm2(x)
+    if nrm <= zero:
+        raise ZeroVector(f"cannot {verb} the zero vector")
+    if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
+        return _unit(x * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), zero, verb)
+    return x / nrm
 
 
 def _coerce(arr: np.ndarray, field: str | None) -> np.ndarray:

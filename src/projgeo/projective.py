@@ -2,16 +2,16 @@
 
 A point of RP^n or CP^n is a line through the origin of F^{n+1}.  Points
 are stored by a canonical representative of that line: the unit vector
-whose pivot coordinate is real and strictly positive, the pivot being
-the entry of largest modulus (smallest index wins near-ties).  Invertible
-matrices act on lines and so descend to projective maps; two matrices act
-identically exactly when they differ by a nonzero scalar, so maps are
-stored at unit Frobenius norm with the same pivot convention.  One check,
-:func:`_check_canonical`, tests both, for the builders and the constructors.
+whose pivot coordinate is real and strictly positive, the pivot being the
+first entry within 1e-12 of the largest modulus, whatever the eps.  Maps
+are stored at unit Frobenius norm with the same pivot convention: two
+invertible matrices act identically on lines exactly when they differ by a
+nonzero scalar.  One check, :func:`_check_canonical`, tests both, for the
+builders and the constructors.
 
 The representative is only how a class is stored and printed: no choice
 of one can depend continuously on the line (the Hopf bundle has no global
-section), so near a pivot tie one line can have two representatives.
+section), so within roundoff of a pivot tie a line can have two of them.
 Equality is therefore a class distance, :func:`point_distance` and
 :func:`map_distance`, which gives the same value for every representative.
 
@@ -32,7 +32,6 @@ from projgeo.errors import (
     FieldMismatch,
     InvalidRange,
     NotCanonical,
-    ZeroVector,
 )
 from projgeo.numerics import (
     COMPLEX,
@@ -44,16 +43,13 @@ from projgeo.numerics import (
 )
 
 
-_NORMAL_MIN = np.finfo(np.float64).tiny
-
-
-def _pivot_index(values: np.ndarray, eps: float) -> int:
-    """Index of the largest-modulus entry, smallest index on near-ties."""
+def _pivot_index(values: np.ndarray) -> int:
+    """Index of the first entry within 1e-12 of the largest modulus; no eps."""
     mods = np.abs(values)
-    return int((mods >= mods[mods.argmax()] - eps).argmax())
+    return int((mods >= mods.max() - 1e-12).argmax())
 
 
-def _canonical(values: np.ndarray, tol: Tolerance, zero: float) -> np.ndarray:
+def _canonical(values: np.ndarray, zero: float) -> np.ndarray:
     """The unit multiple of a nonzero array, flattened row-major and set
     read-only, whose pivot entry is real and positive.
 
@@ -61,13 +57,8 @@ def _canonical(values: np.ndarray, tol: Tolerance, zero: float) -> np.ndarray:
     for arrays that cannot vanish, such as images under guarded maps.
     The result passes :func:`_check_canonical` at the pivot just chosen.
     """
-    nrm = numerics.norm2(values)
-    if nrm <= zero:
-        raise ZeroVector("cannot projectivize the zero vector")
-    if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
-        return _canonical(values * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), tol, zero)
-    u = (values / nrm).ravel()
-    k = _pivot_index(u, tol.eps_abs)
+    u = numerics._unit(values, zero, "projectivize").ravel()
+    k = _pivot_index(u)
     a = u[k]
     if u.dtype.kind == "c":
         r = u * (abs(a) / a)
@@ -106,20 +97,16 @@ def _made(cls, **fields):
 
 
 def _frozen_canonical(values, field: str, shape: tuple, expected: str) -> np.ndarray:
-    """Read-only copy of a representative that :func:`_canonical` yields at
-    some eps > 0, tested at its admissible pivot: the first largest entry
-    (row-major) if that is real and positive, else the first real positive
-    entry larger in modulus than every entry before it."""
+    """Read-only copy of a representative that :func:`_canonical` yields, tested
+    at the first real positive entry (row-major) within 2e-12 of the largest
+    modulus (the pivot band plus the roundoff of the phase), else the largest."""
     arr = np.array(values, dtype=dtype_for(field))
     if arr.shape != shape:
         raise DimensionMismatch(f"expected {expected}, got shape {arr.shape}")
     flat = arr.ravel()
     mods = abs(flat)
-    k = int(mods.argmax())
-    if not _real_positive(flat[k]):
-        ok = _real_positive(flat)
-        ok[1:] &= mods[1:] > np.maximum.accumulate(mods)[:-1]
-        k = int(ok.argmax()) if ok.any() else k
+    ok = _real_positive(flat) & (mods >= mods.max() - 2e-12)
+    k = int(ok.argmax()) if ok.any() else int(mods.argmax())
     _check_canonical(flat, k, arr.ndim == 2)
     arr.setflags(write=False)
     return arr
@@ -196,14 +183,14 @@ def point_from_vector(
     All nonzero scalar multiples of ``v`` produce the same canonical
     coordinates (up to roundoff well under 1e-12).
     """
-    return _point_of(as_vector(v, field), tol, tol.eps_abs)
+    return _point_of(as_vector(v, field), tol.eps_abs)
 
 
-def _point_of(v: np.ndarray, tol: Tolerance, zero: float = 0.0) -> ProjPoint:
+def _point_of(v: np.ndarray, zero: float = 0.0) -> ProjPoint:
     """Point on the line of a finite float64 or complex128 vector, which
     needs no coercion.  By default only an exact zero is rejected: projgeo
     passes here vectors that cannot vanish, such as images under guarded maps."""
-    h = _canonical(v, tol, zero)
+    h = _canonical(v, zero)
     return _made(ProjPoint, field=COMPLEX if h.dtype.kind == "c" else REAL, n=h.shape[0] - 1, h=h)
 
 
@@ -250,14 +237,14 @@ def map_from_matrix(
     IllConditioned
         If the condition estimate exceeds ``tol.cond_max``.
     """
-    return _map_class(numerics._invertible(A, tol, field), tol, tol.eps_abs)
+    return _map_class(numerics._invertible(A, tol, field), tol.eps_abs)
 
 
-def _map_class(a: np.ndarray, tol: Tolerance, zero: float = 0.0) -> ProjMap:
+def _map_class(a: np.ndarray, zero: float = 0.0) -> ProjMap:
     """Class of a square matrix, unguarded: for inverses of guarded matrices
     (cond(A^-1) = cond(A)) and for unitaries built here.  By default only an
     exact zero is rejected, as in :func:`_point_of`."""
-    m = _canonical(a, tol, zero).reshape(a.shape)
+    m = _canonical(a, zero).reshape(a.shape)
     return _made(ProjMap, field=COMPLEX if m.dtype.kind == "c" else REAL, n=m.shape[0] - 1, M=m)
 
 
@@ -281,23 +268,23 @@ def apply_map(t: ProjMap, p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> P
     to about cond(T) times the unit roundoff 2^-53.
     """
     _same_space(t, p)
-    return _point_of(t.M @ p.h, tol)
+    return _point_of(t.M @ p.h)
 
 
 def compose(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """Composite map: apply ``t2`` first, then ``t1``."""
     _same_space(t1, t2)
-    return _map_class(numerics._invertible(t1.M @ t2.M, tol), tol)
+    return _map_class(numerics._invertible(t1.M @ t2.M, tol))
 
 
 def inverse_map(t: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """Inverse transformation, the class of the inverse matrix."""
-    return _map_class(numerics.invert(t.M, tol), tol)
+    return _map_class(numerics.invert(t.M, tol))
 
 
 def identity_map(n: int, field: str = REAL, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     """The identity transformation of an n-dimensional projective space."""
-    return _map_class(np.eye(n + 1, dtype=dtype_for(field)), tol)
+    return _map_class(np.eye(n + 1, dtype=dtype_for(field)))
 
 
 def group_dimension(n: int, field: str = REAL) -> int:
@@ -325,7 +312,7 @@ def chart_embed(
     wv = as_vector(w, field)
     if wv.shape[0] != c.n:
         raise DimensionMismatch(f"chart expects {c.n} affine coordinates")
-    return _point_of(np.concatenate((wv[: c.j - 1], [1.0], wv[c.j - 1 :])), tol)
+    return _point_of(np.concatenate((wv[: c.j - 1], [1.0], wv[c.j - 1 :])))
 
 
 def chart_extract(
@@ -347,11 +334,12 @@ def chart_extract(
 def chart_cover(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> AffineChart:
     """A chart guaranteed to contain ``p``.
 
-    Returns the chart of the pivot coordinate; a unit vector in n+1
-    coordinates has max modulus at least 1/sqrt(n+1), so the extracted
-    coordinates are always well-scaled.
+    Returns the chart of the stored pivot coordinate, whatever ``tol``: a
+    unit vector in n+1 coordinates has max modulus at least 1/sqrt(n+1), and
+    the pivot is within 1e-12 of it, so the extracted coordinates are always
+    well-scaled.
     """
-    return AffineChart(p.n, _pivot_index(p.h, tol.eps_abs) + 1)
+    return AffineChart(p.n, _pivot_index(p.h) + 1)
 
 
 def chart_transition(
@@ -382,7 +370,7 @@ def transitive_witness(
     _same_space(p, q)
     up = _complete_to_unitary(p.h)
     uq = _complete_to_unitary(q.h)
-    return _map_class(uq @ up.conj().T, tol)
+    return _map_class(uq @ up.conj().T)
 
 
 def _complete_to_unitary(h: np.ndarray) -> np.ndarray:

@@ -101,11 +101,11 @@ def test_hopf_distance_is_a_class_function(seed, lam, n, m):
 
 
 def tie_pair():
-    """Two multiples u and a u of one CP^1 vector, near a pivot tie, whose
-    points hold representatives with different pivots."""
+    """Two multiples u and a u of one CP^1 vector, at the 1e-12 pivot band,
+    whose points hold representatives with different pivots."""
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        u = tie_vector(rng, 2, "complex", 1e-9, int(rng.integers(-3, 4)))
+        u = tie_vector(rng, 2, "complex", 1e-12, int(rng.integers(-3, 4)))
         au = rand_nonzero_scalar(rng, "complex") * u
         if np.max(np.abs(pg.point_from_vector(u).h - pg.point_from_vector(au).h)) > 0.1:
             return u, au

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from projgeo import cli, jsonio, suites
+from projgeo import cli, jsonio, projective, suites
 from projgeo.errors import ZeroVector
 from projgeo.jsonio import dumps, encode
 from projgeo import (
@@ -673,3 +673,48 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
     path = write_doc(tmp_path / "deep.json", "[" * 100000 + "]" * 100000)
     assert cli.main(["apply", path, path]) == 2
     assert capsys.readouterr() == ("", f"projgeo: {path}: JSON nested too deeply\n")
+
+
+CP2 = {"p": '{"kind": "proj_point", "field": "complex", "n": 2, "h": [[1, 0], [0, 1], [0.5, 0]]}',
+       "q": '{"kind": "proj_point", "field": "complex", "n": 2, "h": [[0, 1], [1, 0], [0, 0]]}'}
+
+
+def test_link_on_two_cp2_documents_exits_3_naming_what_it_got(tmp_path, capsys):
+    paths = [write_doc(tmp_path / f"{name}.json", doc) for name, doc in CP2.items()]
+    assert cli.main(["link", *paths]) == 3
+    assert capsys.readouterr() == (
+        "", "projgeo: expected a point of CP^1, got a complex point with n = 2\n")
+
+
+@pytest.mark.parametrize("doc, got", [("real-n2", "a real point with n = 2"),
+                                      ("complex-n3", "a complex point with n = 3")])
+def test_fiber_stereo_off_cp1_exits_3_before_printing(tmp_path, capsys, doc, got):
+    path = write_doc(tmp_path / "p.json", FIBER_DOCS[doc])
+    assert cli.main(["fiber", path, "--stereo"]) == 3
+    assert capsys.readouterr() == ("", f"projgeo: expected a point of CP^1, got {got}\n")
+
+
+def test_a_bad_env_eps_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PROJGEO_EPS", "abc")
+    path = write_doc(tmp_path / "w.json", DOCS["vector"])
+    assert cli.main(["chart", "embed", path, "--j", "1"]) == 2
+    assert capsys.readouterr() == ("", "projgeo: $PROJGEO_EPS must be a number, got 'abc'\n")
+
+
+def test_a_document_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "vector", "field": "real", "v": [1.0], "note": "caf\xe9"}')
+    assert cli.main(["chart", "embed", str(path), "--j", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"projgeo: {path}: not UTF-8 text at byte 60\n"
+
+
+def test_an_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(projective, "chart_embed", broken)
+    path = write_doc(tmp_path / "w.json", DOCS["vector"])
+    with pytest.raises(ValueError, match="an internal bug"):
+        cli.main(["chart", "embed", path, "--j", "1"])

@@ -37,6 +37,7 @@ from projgeo import (
     sphere_point,
     sphere_to_cp1,
 )
+from projgeo.errors import DimensionMismatch
 from projgeo.suites import rand_distinct_points, rand_proj_point
 
 CP = {"field": "complex"}
@@ -44,6 +45,26 @@ CP = {"field": "complex"}
 
 def cpoint(*coords):
     return point_from_vector(np.array(coords, dtype=complex))
+
+
+# One guard for every operand that must be a point of CP^1.
+CP1_ENTRY_POINTS = {
+    "fiber_stereo_samples": lambda p: fiber_stereo_samples(p, 8),
+    "linking_number": lambda p: linking_number(cpoint(1.0, 0.5), p, 64),
+    "linking_integral": lambda p: linking_integral(p, cpoint(1.0, 0.5), 64),
+    "cp1_affine": cp1_affine,
+    "cp1_to_sphere": cp1_to_sphere,
+}
+
+
+@pytest.mark.parametrize("name", CP1_ENTRY_POINTS)
+def test_one_cp1_guard_names_the_field_and_n_it_got(name):
+    call = CP1_ENTRY_POINTS[name]
+    expected = r"^expected a point of CP\^1, got a "
+    with pytest.raises(FieldMismatch, match=expected + "real point with n = 1$"):
+        call(point_from_vector([1.0, 0.5]))
+    with pytest.raises(DimensionMismatch, match=expected + "complex point with n = 2$"):
+        call(cpoint(1.0, 0.5, 0.25))
 
 
 # --- projection and fibers ---------------------------------------------------

@@ -21,7 +21,7 @@ from projgeo.errors import (
     NotCanonical,
     NotSquare,
 )
-from projgeo.hopf_manifold import HopfPoint
+from projgeo.hopf_manifold import HopfPoint, ScaleGroup
 from projgeo.projective import ProjMap, ProjPoint
 from projgeo.suites import rand_invertible, rand_subspace, rand_vector
 
@@ -109,9 +109,30 @@ def test_constructors_raise_not_canonical_naming_norm_and_pivot():
         ProjMap("complex", 1, np.eye(2))
     with pytest.raises(NotCanonical, match="unit norm"):
         ProjPoint("real", 1, [np.nan, 0.0])
-    # the first largest entry is negative, so the scan finds the admissible 0.6
-    assert ProjPoint("real", 1, [0.6, -0.8]).h[0] == 0.6
+    # canonical only at an eps of 0.2 or more: the pivot band takes no eps
+    with pytest.raises(NotCanonical, match=r"positive: .* pivot -0\.8\+0j at index 1"):
+        ProjPoint("real", 1, [0.6, -0.8])
     with pytest.raises(NotCanonical, match=r"^representative norm 3 outside the window \[1, 2\)$"):
         HopfPoint(pg.ScaleGroup(2.0), np.array([3.0, 0.0]))
     with pytest.raises(NotCanonical, match=r"norm 0\.5 outside the window \[1, 1\.5\)"):
         HopfPoint(pg.ScaleGroup(1.5j), np.array([0.5j, 0.0]))
+
+
+def test_the_hopf_point_constructor_holds_a_float_copy():
+    h = HopfPoint(ScaleGroup(2.0), ["1", "0"])
+    assert h.rep.dtype == np.float64 and h.field == "real"
+    assert np.array_equal(h.rep, [1.0, 0.0])
+    assert HopfPoint(ScaleGroup(2.0), [1, 0]).rep.dtype == np.float64
+    assert HopfPoint(ScaleGroup(1.5j), [1j, 0]).rep.dtype == np.complex128
+    mine = np.array([1.0, 0.0])
+    HopfPoint(ScaleGroup(2.0), mine)
+    assert mine.flags.writeable
+
+
+def test_a_complex_scale_rejects_a_real_vector_once_for_every_entry_point():
+    group, message = ScaleGroup(1.5j), "^a complex scale does not act on real vectors$"
+    for call in (lambda: HopfPoint(group, [1.0, 0.0]),
+                 lambda: pg.quotient_project([1.0, 0.0], group),
+                 lambda: group.power(2, "real")):
+        with pytest.raises(FieldMismatch, match=message):
+            call()

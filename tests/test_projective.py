@@ -394,15 +394,16 @@ def test_custom_tolerance_threads_through():
 LOOSE = Tolerance(eps_abs=1e-6)
 SCALARS = (1.0, -2.5, 1e-3 * np.exp(0.4j), 7e4 * np.exp(-2.1j))
 
-# The near-tie tests below check the canonical form at a user eps, so they
-# compare representatives, not classes.
+# The near-tie tests below check that the canonical form reads no eps, so
+# they compare representatives, not classes.
 
 
 def test_point_near_tie_at_user_eps():
-    # |v1| and |v2| are 1e-7 apart: one pivot at eps 1e-6, another at the default
+    # |v1| and |v2| are 1e-7 apart, within eps 1e-6 but outside the 1e-12 pivot band
     v = np.array([(1.0 - 1e-7) * np.exp(1j), 1.0])
     p = point_from_vector(v, LOOSE)
-    assert p.h[0].real > 0.0 and abs(p.h[0].imag) < 1e-15
+    assert np.array_equal(p.h, point_from_vector(v).h)
+    assert p.h[1].real > 0.0 and p.h[1].imag == 0.0
     assert np.max(np.abs(point_from_vector(p.h, LOOSE).h - p.h)) < 1e-15
     for a in SCALARS:
         assert np.max(np.abs(point_from_vector(a * v, LOOSE).h - p.h)) < 1e-12
@@ -411,7 +412,8 @@ def test_point_near_tie_at_user_eps():
 def test_map_near_tie_at_user_eps():
     a0 = np.array([[(1.0 - 1e-7) * np.exp(1j), 0.3], [0.2j, 1.0]])
     t = map_from_matrix(a0, LOOSE)
-    assert t.M[0, 0].real > 0.0 and abs(t.M[0, 0].imag) < 1e-15
+    assert np.array_equal(t.M, map_from_matrix(a0).M)
+    assert t.M[1, 1].real > 0.0 and t.M[1, 1].imag == 0.0
     assert np.max(np.abs(map_from_matrix(t.M, LOOSE).M - t.M)) < 1e-15
     for a in SCALARS:
         assert np.max(np.abs(map_from_matrix(a * a0, LOOSE).M - t.M)) < 1e-12
