@@ -95,15 +95,13 @@ def _cmd_apply(args, tol: Tolerance) -> int:
     mapping, operand = _read(tol, args.map_file, args.point_file)
 
     if isinstance(mapping, ProjMap) and isinstance(operand, ProjPoint):
-        result = projective.apply_map(mapping, operand, tol)
+        result = projective.apply_map(mapping, operand)
         if args.cp1:
             result = hopf_fibration.cp1_affine(result, tol)
         _emit(result)
         return 0
     if isinstance(mapping, ProjMap) and isinstance(operand, ExtendedComplex):
-        moved = projective.apply_map(
-            mapping, hopf_fibration.cp1_from_affine(operand, tol), tol
-        )
+        moved = projective.apply_map(mapping, hopf_fibration.cp1_from_affine(operand))
         _emit(hopf_fibration.cp1_affine(moved, tol))
         return 0
     if isinstance(mapping, np.ndarray) and isinstance(operand, Subspace):
@@ -153,7 +151,7 @@ def _cmd_chart(args, tol: Tolerance) -> int:
         w = as_vector(w, args.field)
     if args.action == "embed":
         chart = projective.AffineChart(w.shape[0], args.j)
-        _emit(projective.chart_embed(chart, w, tol))
+        _emit(projective.chart_embed(chart, w))
         return 0
     # transition
     c1 = projective.AffineChart(w.shape[0], args.j1)
@@ -195,7 +193,7 @@ def _cmd_hopf(args, tol: Tolerance) -> int:
     if args.action == "to-projective":  # the document carries its own lambda
         h = _read(tol, args.vector, want=HopfPoint,
                   error="to-projective expects a hopf_point document")
-        _emit(hopf_manifold.to_projective(h, tol))
+        _emit(hopf_manifold.to_projective(h))
         return 0
     group = ScaleGroup(_parse_scalar(args.lam))
     if args.action == "project":

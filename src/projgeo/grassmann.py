@@ -251,7 +251,7 @@ def annihilator(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
     return _made(Subspace, field=s.field, n=s.n, k=s.n - s.k)._hold(q)
 
 
-def to_projective_point(s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
+def to_projective_point(s: Subspace) -> ProjPoint:
     """The point of P^{n-1} carried by a line (k = 1 subspace)."""
     if s.k != 1:
         raise InvalidRange("only 1-dimensional subspaces are projective points")

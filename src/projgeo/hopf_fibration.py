@@ -126,7 +126,7 @@ def extended_equal(a, b, eps: float = DEFAULT_TOLERANCE.eps_abs) -> bool:
     return abs(ea.z - eb.z) <= eps
 
 
-def hopf_project(x, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
+def hopf_project(x) -> ProjPoint:
     """The point of projective space on the line through a sphere point:
     a SpherePoint, or a unit vector such as a row of a fiber sample."""
     return _point_of(x.x if isinstance(x, SpherePoint) else _require_unit(as_vector(x)))
@@ -406,14 +406,15 @@ def linking_number(
 
 
 def cp1_affine(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ExtendedComplex:
-    """Affine coordinate z = h1/h2 of a CP^1 point; [1 : 0] maps to inf."""
+    """Affine coordinate z = h1/h2 of a CP^1 point; inf when |h2| <= eps on
+    the unit representative, the one rule for inf on CP^1."""
     _require_cp1(p)
     if abs(p.h[1]) <= tol.eps_abs:
         return INFINITY
     return ExtendedComplex(complex(p.h[0] / p.h[1]))
 
 
-def cp1_from_affine(z, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
+def cp1_from_affine(z) -> ProjPoint:
     """CP^1 point with affine coordinate ``z``; inf maps to [1 : 0]."""
     ez = as_extended(z)
     if ez.is_infinity:
@@ -425,7 +426,7 @@ def cp1_from_affine(z, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
     return _point_of(vec)
 
 
-def cp1_to_sphere(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+def cp1_to_sphere(p: ProjPoint) -> np.ndarray:
     """Unit point of S^2 in R^3 identified with a CP^1 point.
 
     This is the inverse stereographic image of the affine coordinate,
@@ -439,55 +440,53 @@ def cp1_to_sphere(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarra
     return np.array([2.0 * w.real, 2.0 * w.imag, abs(h1) ** 2 - abs(h2) ** 2])
 
 
-def sphere_to_cp1(xyz, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
-    """CP^1 point identified with a unit vector of R^3.
+def sphere_to_cp1(xyz) -> ProjPoint:
+    """CP^1 point of a unit vector of R^3, the inverse of :func:`cp1_to_sphere`.
 
-    Stereographic projection from the north pole back to the affine
-    coordinate; the pole itself maps to [1 : 0].
+    The vector (x, y, z), rescaled onto the sphere, is the line
+    [x + iy : 1 - z] = [1 + z : x - iy], as x^2 + y^2 = (1 - z)(1 + z); the
+    second form is taken when z >= 0, so that no entry cancels.  No
+    tolerance is read, and the north pole maps to [1 : 0].
     """
     v = as_vector(xyz, REAL)
     if v.shape[0] != 3:
         raise DimensionMismatch(f"expected 3 coordinates, got {v.shape[0]}")
-    if abs(norm2(v) - 1.0) > 1e-6:
-        raise InvalidInput(f"expected a unit vector of R^3, got norm {norm2(v)!r}")
-    if 1.0 - v[2] <= tol.eps_abs:
-        return cp1_from_affine(INFINITY, tol)
-    return cp1_from_affine(complex(v[0], v[1]) / (1.0 - v[2]), tol)
+    nrm = norm2(v)
+    if abs(nrm - 1.0) > 1e-6:
+        raise InvalidInput(f"expected a unit vector of R^3, got norm {nrm!r}")
+    x, y, z = v / nrm
+    pair = (1.0 + z, complex(x, -y)) if z >= 0.0 else (complex(x, y), 1.0 - z)
+    return _point_of(np.array(pair, dtype=np.complex128))
 
 
 # --- Mobius transformations ---------------------------------------------
 
 
-def mobius_apply(
-    a, b, c, d, z, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ExtendedComplex:
+def mobius_apply(a, b, c, d, z, tol: Tolerance = DEFAULT_TOLERANCE) -> ExtendedComplex:
     """Evaluate z -> (a z + b) / (c z + d) on C u {inf}.
 
-    Follows the usual conventions: a vanishing denominator sends a
-    finite point to inf, and inf itself goes to a/c (or stays at inf
-    when c = 0).  Vanishing is judged against ``tol.eps_abs``.
+    The matrix [[a, b], [c, d]] sends the line [z : 1] to [num : den] =
+    [a z + b : c z + d], or [a : c] when z is inf.  The value is inf when
+    |den| <= eps |(num, den)|, the rule of :func:`cp1_affine`, so the two
+    agree at every eps.  For |z| > 1 the pair is divided by z first, as
+    :func:`cp1_from_affine` scales the line, so that no product overflows.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if abs(a * d - b * c) <= tol.eps_abs:
         raise SingularCoefficients("need a d - b c != 0")
     ez = as_extended(z)
-    if ez.is_infinity:
-        if abs(c) <= tol.eps_abs:
-            return INFINITY
-        return ExtendedComplex(a / c)
-    den = c * ez.z + d
-    if abs(den) <= tol.eps_abs:
+    if ez.is_infinity or abs(ez.z) > 1.0:
+        w = 0.0 if ez.is_infinity else 1.0 / ez.z
+        num, den = a + b * w, c + d * w
+    else:
+        num, den = a * ez.z + b, c * ez.z + d
+    if abs(den) <= tol.eps_abs * math.hypot(abs(num), abs(den)):
         return INFINITY
-    return ExtendedComplex((a * ez.z + b) / den)
+    return ExtendedComplex(num / den)
 
 
 def mobius_matches_projective(
-    a,
-    b,
-    c,
-    d,
-    samples: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    a, b, c, d, samples: int, tol: Tolerance = DEFAULT_TOLERANCE,
     rng: np.random.Generator | None = None,
 ) -> bool:
     """Check the Mobius form against the projective action on CP^1.
@@ -512,7 +511,7 @@ def mobius_matches_projective(
 
     for z in zs:
         direct = mobius_apply(a, b, c, d, z, tol)
-        via_cp1 = cp1_affine(apply_map(t, cp1_from_affine(z, tol), tol), tol)
+        via_cp1 = cp1_affine(apply_map(t, cp1_from_affine(z)), tol)
         if not extended_equal(direct, via_cp1, 1e-9):
             return False
     return True

@@ -3,11 +3,13 @@
 Fix a scalar lam with |lam| > 1 (default 2) and identify two nonzero
 vectors whenever one is lam^m times the other for some integer m.  Each
 class contains exactly one representative with norm in the half-open
-window [1, |lam|), which is how a class is stored and printed, and which
-:meth:`HopfPoint._hold` checks for the constructor and for
-:func:`quotient_project`.  Class equality is one distance,
-:func:`hopf_distance`, under eps.  For complex
-lam the action rotates by lam's phase at every power, not just by |lam|.
+window [1, |lam|), which is how a class is stored and printed.  In floating
+point the window is [1 - 1e-12, |lam| (1 - 1e-12)), still one factor of
+|lam| wide: the set that :func:`quotient_project` returns and returns again
+bit for bit, and the one test of :meth:`HopfPoint._hold`, for the
+constructor and for the projection alike.  Class equality is one
+distance, :func:`hopf_distance`, under eps.  For complex lam the action
+rotates by lam's phase at every power, not just by |lam|.
 
 Unlike the projective quotient, generic scalars are not identified:
 over R with lam = 2 the vectors v and -v land in different classes even
@@ -39,9 +41,10 @@ from projgeo.numerics import (
 )
 from projgeo.projective import ProjPoint, _made, _point_of, _same_space
 
-# Norms within this relative slack of the window's upper edge |lam| are
-# treated as sitting on the boundary and snapped to the lower edge 1.
-_EDGE_SLACK = 1e-12
+# The held window is [_LOW, |lam| _LOW), exactly one factor of |lam| wide.  Its
+# edges sit 1e-12 under 1 and under |lam|, so a norm that lands within roundoff
+# of |lam| resolves toward the lower edge.
+_LOW = 1.0 - 1e-12
 
 # A power lam^m with |m| log|lam| beyond this is applied in two halves, so
 # that neither factor leaves the range of doubles.
@@ -112,9 +115,9 @@ class HopfPoint:
             raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
         if nrm is None:
             nrm = norm2(arr)
-        if not _in_window(nrm, self.group):
+        if not _LOW <= nrm < self.group.abs_scale * _LOW:
             raise NotCanonical(f"representative norm {nrm:.17g} outside the window "
-                               f"[1, {self.group.abs_scale:.17g})")
+                               f"[{_LOW!r}, {self.group.abs_scale * _LOW!r})")
         arr.setflags(write=False)
         object.__setattr__(self, "rep", arr)
         return self
@@ -137,15 +140,13 @@ def quotient_project(
     """Class of a nonzero vector, by its norm-windowed representative.
 
     The representative is lam^{-m} v for the unique integer m that puts
-    the norm in [1, |lam|); norms landing on the window edge within
-    roundoff resolve toward the lower endpoint.  Projecting a
-    representative again returns it bit for bit.
+    the norm in [1, |lam|); norms within 1e-12 of the upper edge resolve
+    toward the lower one.  When the roundoff of lam^-m puts that norm just
+    under the lower edge, a real factor within roundoff of 1 lifts it onto
+    the edge.  A vector already in the window is its own representative, so
+    projecting a representative returns it bit for bit.
     """
     return _project(as_vector(v, field), group, tol)
-
-
-def _in_window(nrm: float, group: ScaleGroup) -> bool:
-    return 1.0 - 1e-9 <= nrm < group.abs_scale * (1.0 + 1e-9)
 
 
 def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
@@ -159,17 +160,22 @@ def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
     nrm = norm2(vec)
     if nrm <= tol.eps_abs:
         raise ZeroVector("cannot project the zero vector")
+    a = abs(lam)
+    if _LOW <= nrm < a * _LOW:  # a representative already: kept bit for bit
+        return _made(HopfPoint, group=group)._hold(vec.copy(), nrm)
     if nrm < math.inf:
         log_nrm = math.log(nrm)
     else:  # the norm passes the largest double; take its log from a scaled copy
         log_nrm = math.log(norm2(vec * 2.0 ** -64)) + 64.0 * math.log(2.0)
-    a = abs(lam)
     log_a = math.log(a)
     m = math.floor(log_nrm / log_a)
     rep = _scaled(vec, lam, -m, log_a)
     rep_nrm = norm2(rep)
-    if rep_nrm >= a * (1.0 - _EDGE_SLACK):
+    if rep_nrm >= a * _LOW:
         rep = _scaled(vec, lam, -m - 1, log_a)
+        rep_nrm = norm2(rep)
+    while 0.0 < rep_nrm < _LOW:  # the class sits on the edge within the roundoff of lam^k:
+        rep = rep * (_LOW / rep_nrm + 2.0 ** -52)  # lift it onto the edge by a real factor
         rep_nrm = norm2(rep)
     return _made(HopfPoint, group=group)._hold(rep, rep_nrm)
 
@@ -218,7 +224,7 @@ def hopf_points_equal(
     return hopf_distance(_project(vv, group, tol), _project(wv, group, tol)) < tol.eps_abs
 
 
-def to_projective(point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
+def to_projective(point: HopfPoint) -> ProjPoint:
     """Project a class to the corresponding point of P^{n-1}.
 
     Constant on classes: scaling by lam^m does not move the line, so the
@@ -227,16 +233,18 @@ def to_projective(point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjP
     return _point_of(point.rep)
 
 
-def induced_linear(
-    g, point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE
-) -> HopfPoint:
+def induced_linear(g, point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> HopfPoint:
     """Class of G applied to the representative.
 
     Well-defined because linear maps commute with scalar multiplication;
     the result does not depend on which class member was stored.
     """
     gm = _invertible(g, tol, point.field, point.n)
-    return _project(gm @ point.rep, point.group, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises InvalidRange below
+        image = gm @ point.rep
+    if not np.isfinite(image).all():
+        raise InvalidRange("G times the representative leaves the range of doubles")
+    return _project(image, point.group, tol)
 
 
 def subspace_trace_membership(point: HopfPoint, s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

@@ -101,7 +101,8 @@ def norm2(x) -> float:
     top = float(np.abs(parts).max(initial=0.0))
     if not 0.0 < top < math.inf:  # zero, or an inf or nan entry
         return top
-    return top * norm2(flat / top)
+    # divide the real parts: numpy's complex divide overflows at a subnormal top
+    return top * norm2((parts / top).view(flat.dtype))
 
 
 def _unit(x: np.ndarray, zero: float, verb: str) -> np.ndarray:

@@ -260,7 +260,7 @@ def maps_equal(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> 
     return map_distance(t1, t2) < tol.eps_abs
 
 
-def apply_map(t: ProjMap, p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjPoint:
+def apply_map(t: ProjMap, p: ProjPoint) -> ProjPoint:
     """Image of a point under a projective map.
 
     T h is never zero, since T passed the conditioning guard, so only an
@@ -282,7 +282,7 @@ def inverse_map(t: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
     return _map_class(numerics.invert(t.M, tol))
 
 
-def identity_map(n: int, field: str = REAL, tol: Tolerance = DEFAULT_TOLERANCE) -> ProjMap:
+def identity_map(n: int, field: str = REAL) -> ProjMap:
     """The identity transformation of an n-dimensional projective space."""
     return _map_class(np.eye(n + 1, dtype=dtype_for(field)))
 
@@ -298,12 +298,7 @@ def group_dimension(n: int, field: str = REAL) -> int:
     return (n + 1) ** 2 - 1
 
 
-def chart_embed(
-    c: AffineChart,
-    w,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    field: str | None = None,
-) -> ProjPoint:
+def chart_embed(c: AffineChart, w, field: str | None = None) -> ProjPoint:
     """Point of the chart with affine coordinates ``w`` in F^n.
 
     The homogeneous vector carries ``w`` in the positions other than j
@@ -331,22 +326,19 @@ def chart_extract(
     return np.delete(p.h, c.j - 1) / piv
 
 
-def chart_cover(p: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> AffineChart:
+def chart_cover(p: ProjPoint) -> AffineChart:
     """A chart guaranteed to contain ``p``.
 
-    Returns the chart of the stored pivot coordinate, whatever ``tol``: a
-    unit vector in n+1 coordinates has max modulus at least 1/sqrt(n+1), and
-    the pivot is within 1e-12 of it, so the extracted coordinates are always
-    well-scaled.
+    Returns the chart of the stored pivot coordinate, so no tolerance
+    reaches it: a unit vector in n+1 coordinates has max modulus at least
+    1/sqrt(n+1), and the pivot is within 1e-12 of it, so the extracted
+    coordinates are always well-scaled.
     """
     return AffineChart(p.n, _pivot_index(p.h) + 1)
 
 
 def chart_transition(
-    c1: AffineChart,
-    c2: AffineChart,
-    w,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    c1: AffineChart, c2: AffineChart, w, tol: Tolerance = DEFAULT_TOLERANCE,
     field: str | None = None,
 ) -> np.ndarray | None:
     """Coordinates in ``c2`` of the point with coordinates ``w`` in ``c1``.
@@ -355,12 +347,10 @@ def chart_transition(
     """
     if c1.n != c2.n:
         raise DimensionMismatch(f"mixed dimensions: {c1.n} vs {c2.n}")
-    return chart_extract(c2, chart_embed(c1, w, tol, field), tol)
+    return chart_extract(c2, chart_embed(c1, w, field), tol)
 
 
-def transitive_witness(
-    p: ProjPoint, q: ProjPoint, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ProjMap:
+def transitive_witness(p: ProjPoint, q: ProjPoint) -> ProjMap:
     """A projective map sending ``p`` to ``q``.
 
     Completes each representative to a unitary matrix whose first column

@@ -103,8 +103,8 @@ def _prop_functoriality(rng, i, tol, lam):
     t1 = rand_proj_map(rng, n, field, tol)
     t2 = rand_proj_map(rng, n, field, tol)
     p = rand_proj_point(rng, n, field, tol)
-    lhs = projective.apply_map(projective.compose(t1, t2, tol), p, tol)
-    rhs = projective.apply_map(t1, projective.apply_map(t2, p, tol), tol)
+    lhs = projective.apply_map(projective.compose(t1, t2, tol), p)
+    rhs = projective.apply_map(t1, projective.apply_map(t2, p))
     return projective.point_distance(lhs, rhs) < 1e-9
 
 
@@ -112,10 +112,8 @@ def _prop_inverse_law(rng, i, tol, lam):
     field, n = _cycle(i)
     t = rand_proj_map(rng, n, field, tol)
     p = rand_proj_point(rng, n, field, tol)
-    ident = projective.identity_map(n, field, tol)
-    round_trip = projective.apply_map(
-        projective.inverse_map(t, tol), projective.apply_map(t, p, tol), tol
-    )
+    ident = projective.identity_map(n, field)
+    round_trip = projective.apply_map(projective.inverse_map(t, tol), projective.apply_map(t, p))
     composed = projective.compose(t, projective.inverse_map(t, tol), tol)
     return (
         projective.point_distance(round_trip, p) < 1e-9
@@ -126,14 +124,14 @@ def _prop_inverse_law(rng, i, tol, lam):
 def _prop_atlas_cover(rng, i, tol, lam):
     field, n = _cycle(i)
     p = rand_proj_point(rng, n, field, tol)
-    chart = projective.chart_cover(p, tol)
+    chart = projective.chart_cover(p)
     coords = projective.chart_extract(chart, p, tol)
     if coords is None:
         return False
     pivot_ok = abs(p.h[chart.j - 1]) >= 1.0 / np.sqrt(n + 1) - 1e-12
-    back = projective.chart_embed(chart, coords, tol, field)
+    back = projective.chart_embed(chart, coords, field)
     w = rand_vector(rng, n, field)
-    there = projective.chart_extract(chart, projective.chart_embed(chart, w, tol, field), tol)
+    there = projective.chart_extract(chart, projective.chart_embed(chart, w, field), tol)
     return (
         pivot_ok
         and projective.point_distance(back, p) < 1e-10
@@ -168,8 +166,7 @@ def _prop_transitivity(rng, i, tol, lam):
     field, n = _cycle(i)
     p = rand_proj_point(rng, n, field, tol)
     q = rand_proj_point(rng, n, field, tol)
-    t = projective.transitive_witness(p, q, tol)
-    image = projective.apply_map(t, p, tol)
+    image = projective.apply_map(projective.transitive_witness(p, q), p)
     return projective.point_distance(image, q) < 1e-9
 
 
@@ -256,9 +253,9 @@ def _prop_projective_consistency(rng, i, tol, lam):
     field = _FIELDS[i % 2]
     n = _DIMS[(i // 2) % len(_DIMS)] + 1
     line = rand_subspace(rng, n, 1, field, tol)
-    point = grassmann.to_projective_point(line, tol)
+    point = grassmann.to_projective_point(line)
     back = grassmann.from_projective_point(point)
-    p2 = grassmann.to_projective_point(back, tol)
+    p2 = grassmann.to_projective_point(back)
     return (
         numerics.projector_distance(back.basis, line.basis) < 1e-10
         and projective.points_equal(point, p2, tol)
@@ -332,8 +329,8 @@ def _prop_projection_factorizes(rng, i, tol, lam):
     lo, hi = _clear_powers(v, group.abs_scale, tol, -6, 13)
     m = int(rng.integers(lo, hi + 1))
     w = v * group.power(m, field)
-    pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group, tol), tol)
-    pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group, tol), tol)
+    pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group, tol))
+    pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group, tol))
     return projective.points_equal(pv, pw, tol)
 
 
@@ -346,10 +343,9 @@ def _prop_equivariance(rng, i, tol, lam):
     h_alt = hopf_manifold.quotient_project(v * group.power(3, field), group, tol)
     moved = hopf_manifold.induced_linear(g, h, tol)
     moved_alt = hopf_manifold.induced_linear(g, h_alt, tol)
-    top = hopf_manifold.to_projective(moved, tol)
-    bottom = projective.apply_map(
-        projective.map_from_matrix(g, tol), hopf_manifold.to_projective(h, tol), tol
-    )
+    top = hopf_manifold.to_projective(moved)
+    t = projective.map_from_matrix(g, tol)
+    bottom = projective.apply_map(t, hopf_manifold.to_projective(h))
     return (
         hopf_manifold.hopf_distance(moved, moved_alt) < 1e-9
         and projective.point_distance(top, bottom) < 1e-9
@@ -381,8 +377,8 @@ def _prop_real_double_cover(rng, i, tol, lam):
     n = _DIMS[i % len(_DIMS)]
     p = rand_proj_point(rng, n, REAL, tol)
     x1, x2 = hopf_fibration.real_fiber(p)
-    back1 = hopf_fibration.hopf_project(x1, tol)
-    back2 = hopf_fibration.hopf_project(x2, tol)
+    back1 = hopf_fibration.hopf_project(x1)
+    back2 = hopf_fibration.hopf_project(x2)
     return (
         np.array_equal(x1.x, -x2.x)
         and abs(numerics.norm2(x1.x) - 1.0) < 1e-12
@@ -397,8 +393,7 @@ def _prop_circle_fiber(rng, i, tol, lam):
     p = rand_proj_point(rng, n, COMPLEX, tol)
     samples = hopf_fibration.complex_fiber_sample(p, m)
     good = all(
-        projective.point_distance(hopf_fibration.hopf_project(x, tol), p) < 1e-10
-        for x in samples
+        projective.point_distance(hopf_fibration.hopf_project(x), p) < 1e-10 for x in samples
     )
     t1, t2 = int(rng.integers(0, m)), int(rng.integers(0, m))
     chord = numerics.norm2(samples[t1] - samples[t2])
@@ -416,12 +411,10 @@ def _prop_disjointness(rng, i, tol, lam):
 
 def _prop_sphere_chart(rng, i, tol, lam):
     p = rand_proj_point(rng, 1, COMPLEX, tol)
-    xyz = hopf_fibration.cp1_to_sphere(p, tol)
-    back = hopf_fibration.sphere_to_cp1(xyz, tol)
+    xyz = hopf_fibration.cp1_to_sphere(p)
+    back = hopf_fibration.sphere_to_cp1(xyz)
     z = hopf_fibration.cp1_affine(p, tol)
-    z_back = hopf_fibration.cp1_affine(
-        hopf_fibration.cp1_from_affine(z, tol), tol
-    )
+    z_back = hopf_fibration.cp1_affine(hopf_fibration.cp1_from_affine(z), tol)
     return (
         abs(numerics.norm2(xyz) - 1.0) < 1e-10
         and projective.point_distance(back, p) < 1e-10

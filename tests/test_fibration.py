@@ -402,6 +402,8 @@ def test_affine_round_trip():
 def test_sphere_poles():
     assert_allclose(cp1_to_sphere(cp1_from_affine(0.0)), [0.0, 0.0, -1.0])
     assert_allclose(cp1_to_sphere(cp1_from_affine(INFINITY)), [0.0, 0.0, 1.0])
+    assert point_distance(sphere_to_cp1([0.0, 0.0, -1.0]), cpoint(0.0, 1.0)) == 0.0
+    assert point_distance(sphere_to_cp1([0.0, 0.0, 1.0]), cpoint(1.0, 0.0)) == 0.0
 
 
 def test_sphere_equator():

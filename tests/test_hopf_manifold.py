@@ -212,6 +212,13 @@ def test_field_and_dimension_guards():
         induced_linear(np.eye(3), h)
 
 
+def test_induced_linear_rejects_an_image_past_the_largest_double():
+    # (1e308 + 1e308 i)(1 + i) = 2e308 i
+    h = quotient_project([1.0 + 1.0j], TWO)
+    with pytest.raises(InvalidRange, match="^G times the representative leaves the range"):
+        induced_linear(np.array([[1e308 + 1e308j]]), h)
+
+
 def test_hopf_point_validation():
     with pytest.raises(ValueError):
         HopfPoint(TWO, np.array([4.0, 0.0]))  # norm outside [1, 2)

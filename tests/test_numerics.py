@@ -199,6 +199,10 @@ def test_norm2_at_the_edges_of_the_doubles():
     assert norm2(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
     assert norm2(np.array([3e-200j, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
     assert norm2(np.array([5e-324, 0.0])) == 5e-324
+    # complex entries whose largest part is subnormal: a complex divide by it overflows
+    assert norm2(np.array([0j, 2.225073858507e-311j])) == 2.225073858507e-311
+    assert norm2(np.array([5e-324j, 0.0])) == 5e-324
+    assert norm2(np.array([3e-320 + 4e-320j])) == 5e-320
     assert norm2(np.array([1.5e308, 1.5e308])) == math.inf
     assert norm2(np.array([1.0, math.inf])) == math.inf
     assert math.isnan(norm2(np.array([1.0, math.nan])))

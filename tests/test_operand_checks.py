@@ -112,9 +112,11 @@ def test_constructors_raise_not_canonical_naming_norm_and_pivot():
     # canonical only at an eps of 0.2 or more: the pivot band takes no eps
     with pytest.raises(NotCanonical, match=r"positive: .* pivot -0\.8\+0j at index 1"):
         ProjPoint("real", 1, [0.6, -0.8])
-    with pytest.raises(NotCanonical, match=r"^representative norm 3 outside the window \[1, 2\)$"):
+    with pytest.raises(NotCanonical, match=r"^representative norm 3 outside the window "
+                                           r"\[0\.999999999999, 1\.999999999998\)$"):
         HopfPoint(pg.ScaleGroup(2.0), np.array([3.0, 0.0]))
-    with pytest.raises(NotCanonical, match=r"norm 0\.5 outside the window \[1, 1\.5\)"):
+    with pytest.raises(NotCanonical,
+                       match=r"norm 0\.5 outside the window \[0\.999999999999, 1\.4999999999985\)"):
         HopfPoint(pg.ScaleGroup(1.5j), np.array([0.5j, 0.0]))
 
 

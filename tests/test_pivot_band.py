@@ -71,9 +71,7 @@ def test_chart_cover_keeps_its_bound_at_every_eps(seed, field, d, log_gap):
     rng = np.random.default_rng(seed)
     mods = 1.0 + 10.0 ** log_gap * rng.uniform(-1.0, 1.0, d)
     p = pg.point_from_vector(mods * phases(rng, field, d))
-    charts = {pg.chart_cover(p, pg.Tolerance(eps)) for eps in EPS}
-    assert len(charts) == 1
-    (chart,) = charts
+    chart = pg.chart_cover(p)  # reads no eps, so it is one chart at every eps
     assert abs(p.h[chart.j - 1]) >= 1.0 / math.sqrt(d) - 1e-12
 
 
