@@ -200,7 +200,7 @@ def _cmd_hopf(args, tol: Tolerance) -> int:
         v = _read(tol, args.vector, want=1, error="project expects a vector document")
         if args.field:
             v = as_vector(v, args.field)
-        _emit(hopf_manifold.quotient_project(v, group, tol))
+        _emit(hopf_manifold.quotient_project(v, group))
         return 0
     # equal
     v, w = _read(tol, args.vector, args.other, want=1,

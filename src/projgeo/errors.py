@@ -10,7 +10,7 @@ class IllConditioned(ProjGeoError):
 
 
 class RankDeficientToZero(ProjGeoError):
-    """Every input column is numerically zero."""
+    """Every input column is zero, or under the rank cutoff."""
 
 
 class ZeroVector(ProjGeoError):

@@ -79,11 +79,9 @@ class SpherePoint:
         object.__setattr__(self, "x", arr)
 
 
-def sphere_point(
-    v, tol: Tolerance = DEFAULT_TOLERANCE, field: str | None = None
-) -> SpherePoint:
+def sphere_point(v, field: str | None = None) -> SpherePoint:
     """Normalize a nonzero vector onto the unit sphere."""
-    u = _unit(as_vector(v, field), tol.eps_abs, "normalize")
+    u = _unit(as_vector(v, field), "normalize")
     return SpherePoint(field_of(u), u.shape[0], u)
 
 
@@ -462,6 +460,21 @@ def sphere_to_cp1(xyz) -> ProjPoint:
 # --- Mobius transformations ---------------------------------------------
 
 
+def _mobius_rows(a, b, c, d, tol: Tolerance) -> tuple:
+    """(a, b, c, d) over C, times the power of two that brings their largest
+    part into [0.5, 2): the same map.  InvalidInput on a non-finite part;
+    SingularCoefficients when |a d - b c| <= eps |(a, b)| |(c, d)|."""
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    parts = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+    if not all(map(math.isfinite, parts)):
+        raise InvalidInput(f"Mobius coefficients must be finite, got {(a, b, c, d)}")
+    s = 2.0 ** -(math.frexp(max(map(abs, parts)))[1] // 2)  # applied twice: 2^-e may overflow
+    a, b, c, d = a * s * s, b * s * s, c * s * s, d * s * s
+    if abs(a * d - b * c) <= tol.eps_abs * math.hypot(abs(a), abs(b)) * math.hypot(abs(c), abs(d)):
+        raise SingularCoefficients("need a d - b c != 0")
+    return a, b, c, d
+
+
 def mobius_apply(a, b, c, d, z, tol: Tolerance = DEFAULT_TOLERANCE) -> ExtendedComplex:
     """Evaluate z -> (a z + b) / (c z + d) on C u {inf}.
 
@@ -471,9 +484,7 @@ def mobius_apply(a, b, c, d, z, tol: Tolerance = DEFAULT_TOLERANCE) -> ExtendedC
     agree at every eps.  For |z| > 1 the pair is divided by z first, as
     :func:`cp1_from_affine` scales the line, so that no product overflows.
     """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    if abs(a * d - b * c) <= tol.eps_abs:
-        raise SingularCoefficients("need a d - b c != 0")
+    a, b, c, d = _mobius_rows(a, b, c, d, tol)
     ez = as_extended(z)
     if ez.is_infinity or abs(ez.z) > 1.0:
         w = 0.0 if ez.is_infinity else 1.0 / ez.z
@@ -496,15 +507,13 @@ def mobius_matches_projective(
     CP^1 and compares with the direct formula; True when every value
     agrees within 1e-9, with inf matching only inf.
     """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    if abs(a * d - b * c) <= tol.eps_abs:
-        raise SingularCoefficients("need a d - b c != 0")
+    a, b, c, d = _mobius_rows(a, b, c, d, tol)
     if rng is None:
         rng = np.random.default_rng(0)
     t = map_from_matrix(np.array([[a, b], [c, d]]), tol, field=COMPLEX)
 
     zs: list[ExtendedComplex] = [ExtendedComplex(0j), INFINITY]
-    if abs(c) > tol.eps_abs:
+    if abs(c) > tol.eps_abs * math.hypot(abs(c), abs(d)):
         zs.append(ExtendedComplex(-d / c))
     for _ in range(samples):
         zs.append(ExtendedComplex(complex(rng.standard_normal(), rng.standard_normal())))

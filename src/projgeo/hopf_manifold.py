@@ -131,12 +131,7 @@ class HopfPoint:
         return self.rep.shape[0]
 
 
-def quotient_project(
-    v,
-    group: ScaleGroup = ScaleGroup(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    field: str | None = None,
-) -> HopfPoint:
+def quotient_project(v, group: ScaleGroup = ScaleGroup(), field: str | None = None) -> HopfPoint:
     """Class of a nonzero vector, by its norm-windowed representative.
 
     The representative is lam^{-m} v for the unique integer m that puts
@@ -146,10 +141,10 @@ def quotient_project(
     the edge.  A vector already in the window is its own representative, so
     projecting a representative returns it bit for bit.
     """
-    return _project(as_vector(v, field), group, tol)
+    return _project(as_vector(v, field), group)
 
 
-def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
+def _project(vec: np.ndarray, group: ScaleGroup) -> HopfPoint:
     """:func:`quotient_project` of a finite float64 or complex128 vector.
 
     The representative is checked once, by the constructor's
@@ -158,7 +153,7 @@ def _project(vec: np.ndarray, group: ScaleGroup, tol: Tolerance) -> HopfPoint:
     lam = group.lam
     group._acts_on(field_of(vec))
     nrm = norm2(vec)
-    if nrm <= tol.eps_abs:
+    if nrm == 0.0:
         raise ZeroVector("cannot project the zero vector")
     a = abs(lam)
     if _LOW <= nrm < a * _LOW:  # a representative already: kept bit for bit
@@ -221,7 +216,7 @@ def hopf_points_equal(
         common = COMPLEX
         vv = as_vector(vv, common)
         wv = as_vector(wv, common)
-    return hopf_distance(_project(vv, group, tol), _project(wv, group, tol)) < tol.eps_abs
+    return hopf_distance(_project(vv, group), _project(wv, group)) < tol.eps_abs
 
 
 def to_projective(point: HopfPoint) -> ProjPoint:
@@ -244,7 +239,7 @@ def induced_linear(g, point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> H
         image = gm @ point.rep
     if not np.isfinite(image).all():
         raise InvalidRange("G times the representative leaves the range of doubles")
-    return _project(image, point.group, tol)
+    return _project(image, point.group)
 
 
 def subspace_trace_membership(point: HopfPoint, s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

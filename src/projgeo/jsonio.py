@@ -149,7 +149,7 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "proj_point": _Kind(ProjPoint, ("field", "n", "h"), lambda p: (p.field, p.n, p.h),
-                        lambda d, tol: point_from_vector(d["h"], tol, d["field"])),
+                        lambda d, tol: point_from_vector(d["h"], d["field"])),
     "proj_map": _Kind(ProjMap, ("field", "n", "M"), lambda t: (t.field, t.n, t.M),
                       lambda d, tol: map_from_matrix(d["M"], tol, d["field"])),
     "proj_subspace": _Kind(ProjSubspace, ("field", "n", "basis"),
@@ -160,7 +160,7 @@ _KINDS = {
                       lambda d, tol: subspace_from_span(d["basis"].T, tol, d["field"])),
     "hopf_point": _Kind(HopfPoint, ("field", "n", "lambda", "rep"),
                         lambda h: (h.field, h.n, h.group.lam, h.rep),
-                        lambda d, tol: quotient_project(d["rep"], d["lambda"], tol, d["field"])),
+                        lambda d, tol: quotient_project(d["rep"], d["lambda"], d["field"])),
     "vector": _Kind(1, ("field", "v"), lambda v: (field_of(v), v), lambda d, tol: d["v"]),
     "matrix": _Kind(2, ("field", "M"), lambda m: (field_of(m), m), lambda d, tol: d["M"]),
     "extended_complex": _Kind(ExtendedComplex, ("z",),

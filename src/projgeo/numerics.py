@@ -105,14 +105,14 @@ def norm2(x) -> float:
     return top * norm2((parts / top).view(flat.dtype))
 
 
-def _unit(x: np.ndarray, zero: float, verb: str) -> np.ndarray:
-    """``x`` divided by its :func:`norm2`, at any finite scale; a norm at or
-    below ``zero`` raises ZeroVector("cannot <verb> the zero vector")."""
+def _unit(x: np.ndarray, verb: str) -> np.ndarray:
+    """``x`` divided by its :func:`norm2`, at any finite scale; only an exact
+    zero raises ZeroVector("cannot <verb> the zero vector")."""
     nrm = norm2(x)
-    if nrm <= zero:
+    if nrm == 0.0:
         raise ZeroVector(f"cannot {verb} the zero vector")
     if not _NORMAL_MIN <= nrm < math.inf:  # a power of two rescales exactly
-        return _unit(x * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), zero, verb)
+        return _unit(x * (2.0 ** -64 if nrm > 1.0 else 2.0 ** 64), verb)
     return x / nrm
 
 
@@ -201,10 +201,10 @@ def orthonormalize(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
         scale = math.sqrt(top)
     else:
         scale = max(norm2(a[:, j]) for j in range(a.shape[1]))
-    if scale <= tol.eps_abs:
-        raise RankDeficientToZero("all columns are numerically zero")
-    if scale == math.inf:  # a column norm past the largest double; the span is the same
-        return orthonormalize(a * 2.0 ** -64, tol)
+    if scale == 0.0:
+        raise RankDeficientToZero("all columns are zero")
+    if not _NORMAL_MIN <= scale < math.inf:  # a power of two rescales exactly; same span
+        return orthonormalize(a * (2.0 ** -64 if scale > 1.0 else 2.0 ** 64), tol)
     cutoff = tol.eps_abs * scale
     basis: list[np.ndarray] = []
     for j in range(a.shape[1]):
@@ -215,6 +215,8 @@ def orthonormalize(m, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
         nv = norm2(v)
         if nv > cutoff:
             basis.append(v / nv)
+    if not basis:  # an eps_abs of 1 or more can drop every column
+        raise RankDeficientToZero(f"the rank cutoff at eps {tol.eps_abs:.3g} drops every column")
     return np.column_stack(basis)
 
 

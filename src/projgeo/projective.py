@@ -49,15 +49,14 @@ def _pivot_index(values: np.ndarray) -> int:
     return int((mods >= mods.max() - 1e-12).argmax())
 
 
-def _canonical(values: np.ndarray, zero: float) -> np.ndarray:
+def _canonical(values: np.ndarray) -> np.ndarray:
     """The unit multiple of a nonzero array, flattened row-major and set
     read-only, whose pivot entry is real and positive.
 
-    A norm at or below ``zero`` raises ZeroVector: eps for user input, 0.0
-    for arrays that cannot vanish, such as images under guarded maps.
-    The result passes :func:`_check_canonical` at the pivot just chosen.
+    Only an exact zero raises ZeroVector: a line is never rejected for its
+    size.  The result passes :func:`_check_canonical` at the pivot just chosen.
     """
-    u = numerics._unit(values, zero, "projectivize").ravel()
+    u = numerics._unit(values, "projectivize").ravel()
     k = _pivot_index(u)
     a = u[k]
     if u.dtype.kind == "c":
@@ -175,22 +174,20 @@ def _same_space(a, b) -> None:
         raise DimensionMismatch(f"mixed dimensions: {a.n} vs {b.n}")
 
 
-def point_from_vector(
-    v, tol: Tolerance = DEFAULT_TOLERANCE, field: str | None = None
-) -> ProjPoint:
+def point_from_vector(v, field: str | None = None) -> ProjPoint:
     """Canonical point on the line through a nonzero vector of F^{n+1}.
 
     All nonzero scalar multiples of ``v`` produce the same canonical
-    coordinates (up to roundoff well under 1e-12).
+    coordinates (up to roundoff well under 1e-12), at any scale: only an
+    exact zero raises ZeroVector.
     """
-    return _point_of(as_vector(v, field), tol.eps_abs)
+    return _point_of(as_vector(v, field))
 
 
-def _point_of(v: np.ndarray, zero: float = 0.0) -> ProjPoint:
+def _point_of(v: np.ndarray) -> ProjPoint:
     """Point on the line of a finite float64 or complex128 vector, which
-    needs no coercion.  By default only an exact zero is rejected: projgeo
-    passes here vectors that cannot vanish, such as images under guarded maps."""
-    h = _canonical(v, zero)
+    needs no coercion."""
+    h = _canonical(v)
     return _made(ProjPoint, field=COMPLEX if h.dtype.kind == "c" else REAL, n=h.shape[0] - 1, h=h)
 
 
@@ -237,14 +234,13 @@ def map_from_matrix(
     IllConditioned
         If the condition estimate exceeds ``tol.cond_max``.
     """
-    return _map_class(numerics._invertible(A, tol, field), tol.eps_abs)
+    return _map_class(numerics._invertible(A, tol, field))
 
 
-def _map_class(a: np.ndarray, zero: float = 0.0) -> ProjMap:
+def _map_class(a: np.ndarray) -> ProjMap:
     """Class of a square matrix, unguarded: for inverses of guarded matrices
-    (cond(A^-1) = cond(A)) and for unitaries built here.  By default only an
-    exact zero is rejected, as in :func:`_point_of`."""
-    m = _canonical(a, zero).reshape(a.shape)
+    (cond(A^-1) = cond(A)) and for unitaries built here."""
+    m = _canonical(a).reshape(a.shape)
     return _made(ProjMap, field=COMPLEX if m.dtype.kind == "c" else REAL, n=m.shape[0] - 1, M=m)
 
 
@@ -263,9 +259,8 @@ def maps_equal(t1: ProjMap, t2: ProjMap, tol: Tolerance = DEFAULT_TOLERANCE) -> 
 def apply_map(t: ProjMap, p: ProjPoint) -> ProjPoint:
     """Image of a point under a projective map.
 
-    T h is never zero, since T passed the conditioning guard, so only an
-    exact zero is rejected.  Near the cap the image's direction is accurate
-    to about cond(T) times the unit roundoff 2^-53.
+    T h is never zero, since T passed the conditioning guard; near the cap
+    its direction is accurate to about cond(T) times the unit roundoff 2^-53.
     """
     _same_space(t, p)
     return _point_of(t.M @ p.h)

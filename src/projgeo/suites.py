@@ -54,8 +54,8 @@ def rand_invertible(rng, n, field) -> np.ndarray:
             return a
 
 
-def rand_proj_point(rng, n, field, tol=numerics.DEFAULT_TOLERANCE) -> projective.ProjPoint:
-    return projective.point_from_vector(rand_nonzero_vector(rng, n + 1, field), tol)
+def rand_proj_point(rng, n, field) -> projective.ProjPoint:
+    return projective.point_from_vector(rand_nonzero_vector(rng, n + 1, field))
 
 
 def rand_proj_map(rng, n, field, tol=numerics.DEFAULT_TOLERANCE) -> projective.ProjMap:
@@ -63,9 +63,9 @@ def rand_proj_map(rng, n, field, tol=numerics.DEFAULT_TOLERANCE) -> projective.P
 
 
 def rand_distinct_points(rng, n, field, tol=numerics.DEFAULT_TOLERANCE):
-    p = rand_proj_point(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field)
     while True:
-        q = rand_proj_point(rng, n, field, tol)
+        q = rand_proj_point(rng, n, field)
         if not projective.points_equal(p, q, tol):
             return p, q
 
@@ -88,8 +88,8 @@ def _prop_scalar_invariance(rng, i, tol, lam):
     field, n = _cycle(i)
     v = rand_nonzero_vector(rng, n + 1, field)
     alpha = rand_nonzero_scalar(rng, field)
-    p1 = projective.point_from_vector(v, tol)
-    p2 = projective.point_from_vector(alpha * v, tol)
+    p1 = projective.point_from_vector(v)
+    p2 = projective.point_from_vector(alpha * v)
     a = rand_invertible(rng, n + 1, field)
     beta = rand_nonzero_scalar(rng, field)
     t1 = projective.map_from_matrix(a, tol)
@@ -102,7 +102,7 @@ def _prop_functoriality(rng, i, tol, lam):
     field, n = _cycle(i)
     t1 = rand_proj_map(rng, n, field, tol)
     t2 = rand_proj_map(rng, n, field, tol)
-    p = rand_proj_point(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field)
     lhs = projective.apply_map(projective.compose(t1, t2, tol), p)
     rhs = projective.apply_map(t1, projective.apply_map(t2, p))
     return projective.point_distance(lhs, rhs) < 1e-9
@@ -111,7 +111,7 @@ def _prop_functoriality(rng, i, tol, lam):
 def _prop_inverse_law(rng, i, tol, lam):
     field, n = _cycle(i)
     t = rand_proj_map(rng, n, field, tol)
-    p = rand_proj_point(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field)
     ident = projective.identity_map(n, field)
     round_trip = projective.apply_map(projective.inverse_map(t, tol), projective.apply_map(t, p))
     composed = projective.compose(t, projective.inverse_map(t, tol), tol)
@@ -123,7 +123,7 @@ def _prop_inverse_law(rng, i, tol, lam):
 
 def _prop_atlas_cover(rng, i, tol, lam):
     field, n = _cycle(i)
-    p = rand_proj_point(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field)
     chart = projective.chart_cover(p)
     coords = projective.chart_extract(chart, p, tol)
     if coords is None:
@@ -142,7 +142,7 @@ def _prop_atlas_cover(rng, i, tol, lam):
 
 def _prop_missing_locus(rng, i, tol, lam):
     field, n = _cycle(i)
-    p = rand_proj_point(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field)
     good = True
     for j in range(1, n + 2):
         chart = projective.AffineChart(n, j)
@@ -150,11 +150,9 @@ def _prop_missing_locus(rng, i, tol, lam):
         absent = projective.chart_extract(chart, p, tol) is None
         if absent != grassmann.point_membership(p, locus, tol):
             good = False
-        # a point manufactured on the locus must be invisible to the chart;
-        # its coefficients are scaled up, if need be, to clear the zero test
+        # a point manufactured on the locus must be invisible to the chart
         coeffs = rand_nonzero_vector(rng, n, field)
-        coeffs = coeffs * max(1.0, 4.0 * tol.eps_abs / numerics.norm2(coeffs))
-        on_locus = projective.point_from_vector(locus.basis @ coeffs, tol)
+        on_locus = projective.point_from_vector(locus.basis @ coeffs)
         if projective.chart_extract(chart, on_locus, tol) is not None:
             good = False
         if not grassmann.point_membership(on_locus, locus, tol):
@@ -164,8 +162,8 @@ def _prop_missing_locus(rng, i, tol, lam):
 
 def _prop_transitivity(rng, i, tol, lam):
     field, n = _cycle(i)
-    p = rand_proj_point(rng, n, field, tol)
-    q = rand_proj_point(rng, n, field, tol)
+    p = rand_proj_point(rng, n, field)
+    q = rand_proj_point(rng, n, field)
     image = projective.apply_map(projective.transitive_witness(p, q), p)
     return projective.point_distance(image, q) < 1e-9
 
@@ -300,9 +298,9 @@ def _prop_canonical_window(rng, i, tol, lam):
     v = rand_nonzero_vector(rng, n, field)
     lo, hi = _clear_powers(v, a, tol, -6, 13)
     v = v * (a ** rng.integers(lo, hi + 1))  # spread norms across many windows
-    h = hopf_manifold.quotient_project(v, group, tol)
+    h = hopf_manifold.quotient_project(v, group)
     nrm = numerics.norm2(h.rep)
-    again = hopf_manifold.quotient_project(h.rep, group, tol)
+    again = hopf_manifold.quotient_project(h.rep, group)
     return (
         1.0 - 1e-12 <= nrm < a * (1.0 - 1e-12)
         and np.array_equal(again.rep, h.rep)  # the canonical form: projecting is idempotent
@@ -329,8 +327,8 @@ def _prop_projection_factorizes(rng, i, tol, lam):
     lo, hi = _clear_powers(v, group.abs_scale, tol, -6, 13)
     m = int(rng.integers(lo, hi + 1))
     w = v * group.power(m, field)
-    pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group, tol))
-    pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group, tol))
+    pv = hopf_manifold.to_projective(hopf_manifold.quotient_project(v, group))
+    pw = hopf_manifold.to_projective(hopf_manifold.quotient_project(w, group))
     return projective.points_equal(pv, pw, tol)
 
 
@@ -339,8 +337,8 @@ def _prop_equivariance(rng, i, tol, lam):
     n = _DIMS[j % len(_DIMS)] + 1
     v = rand_nonzero_vector(rng, n, field)
     g = rand_invertible(rng, n, field)
-    h = hopf_manifold.quotient_project(v, group, tol)
-    h_alt = hopf_manifold.quotient_project(v * group.power(3, field), group, tol)
+    h = hopf_manifold.quotient_project(v, group)
+    h_alt = hopf_manifold.quotient_project(v * group.power(3, field), group)
     moved = hopf_manifold.induced_linear(g, h, tol)
     moved_alt = hopf_manifold.induced_linear(g, h_alt, tol)
     top = hopf_manifold.to_projective(moved)
@@ -362,10 +360,10 @@ def _prop_trace_invariance(rng, i, tol, lam):
     lo, hi = _clear_powers(inside, a, tol, -5, 11)
     votes = []
     for m in range(lo, hi + 1):
-        hv = hopf_manifold.quotient_project(inside * group.power(m, field), group, tol)
+        hv = hopf_manifold.quotient_project(inside * group.power(m, field), group)
         votes.append(hopf_manifold.subspace_trace_membership(hv, s, tol))
     outside = outside * a ** _clear_powers(outside, a, tol, 0, 1)[0]
-    h_out = hopf_manifold.quotient_project(outside, group, tol)
+    h_out = hopf_manifold.quotient_project(outside, group)
     generic_out = hopf_manifold.subspace_trace_membership(h_out, s, tol)
     return all(votes) and not generic_out
 
@@ -375,7 +373,7 @@ def _prop_trace_invariance(rng, i, tol, lam):
 
 def _prop_real_double_cover(rng, i, tol, lam):
     n = _DIMS[i % len(_DIMS)]
-    p = rand_proj_point(rng, n, REAL, tol)
+    p = rand_proj_point(rng, n, REAL)
     x1, x2 = hopf_fibration.real_fiber(p)
     back1 = hopf_fibration.hopf_project(x1)
     back2 = hopf_fibration.hopf_project(x2)
@@ -390,7 +388,7 @@ def _prop_real_double_cover(rng, i, tol, lam):
 def _prop_circle_fiber(rng, i, tol, lam):
     m = 16
     n = _DIMS[i % len(_DIMS)]
-    p = rand_proj_point(rng, n, COMPLEX, tol)
+    p = rand_proj_point(rng, n, COMPLEX)
     samples = hopf_fibration.complex_fiber_sample(p, m)
     good = all(
         projective.point_distance(hopf_fibration.hopf_project(x), p) < 1e-10 for x in samples
@@ -410,7 +408,7 @@ def _prop_disjointness(rng, i, tol, lam):
 
 
 def _prop_sphere_chart(rng, i, tol, lam):
-    p = rand_proj_point(rng, 1, COMPLEX, tol)
+    p = rand_proj_point(rng, 1, COMPLEX)
     xyz = hopf_fibration.cp1_to_sphere(p)
     back = hopf_fibration.sphere_to_cp1(xyz)
     z = hopf_fibration.cp1_affine(p, tol)

@@ -175,19 +175,25 @@ def test_norms_past_the_largest_double_and_under_the_smallest_normal_one():
     h = pg.quotient_project(huge)
     assert 1.0 <= numerics.norm2(h.rep) < 2.0
 
-    fine = pg.Tolerance(eps_abs=1e-320)
     tiny = np.array([3e-310, -4e-310])
     ref = pg.point_from_vector(np.array([3.0, -4.0]))
-    assert np.max(np.abs(pg.point_from_vector(tiny, fine).h - ref.h)) < 1e-4  # subnormal input
-    h = pg.quotient_project(tiny, tol=fine)
+    assert np.max(np.abs(pg.point_from_vector(tiny).h - ref.h)) < 1e-4  # subnormal input
+    h = pg.quotient_project(tiny)
     assert 1.0 <= numerics.norm2(h.rep) < 2.0
+    # a span whose largest column norm is subnormal is rescaled by a power of two
+    sub = pg.subspace_from_span(tiny[:, None])
+    assert numerics.projector_distance(sub.basis, pg.subspace_from_span(ref.h[:, None]).basis) < 1e-4
 
 
-def test_zero_test_stays_absolute():
+def test_only_an_exact_zero_is_rejected():
+    # a line is never rejected for its size: 1e-10 v spans the line of v
+    assert pg.point_from_vector(1e-10 * _V).n == 2
+    assert pg.quotient_project(1e-10 * _V).n == 3
+    assert pg.sphere_point(1e-10 * _V).n_amb == 3
+    zero = np.zeros(3)
     with pytest.raises(pg.ZeroVector):
-        pg.point_from_vector(1e-10 * _V)
+        pg.point_from_vector(zero)
     with pytest.raises(pg.ZeroVector):
-        pg.quotient_project(1e-10 * _V)
+        pg.quotient_project(zero)
     with pytest.raises(pg.ZeroVector):
-        pg.sphere_point(1e-10 * _V)
-    assert pg.point_from_vector(1e-10 * _V, pg.Tolerance(eps_abs=1e-12)).n == 2
+        pg.sphere_point(zero)

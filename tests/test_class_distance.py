@@ -50,7 +50,7 @@ def test_scaled_tie_vectors_are_one_point(seed, field, eps, k, d):
     u = tie_vector(rng, d, field, eps, k)
     a = rand_nonzero_scalar(rng, field)
     tol = pg.Tolerance(eps_abs=eps)
-    assert pg.points_equal(pg.point_from_vector(a * u, tol), pg.point_from_vector(u, tol), tol)
+    assert pg.points_equal(pg.point_from_vector(a * u), pg.point_from_vector(u), tol)
 
 
 @settings(max_examples=150, deadline=None)

@@ -37,7 +37,7 @@ from projgeo import (
     sphere_point,
     sphere_to_cp1,
 )
-from projgeo.errors import DimensionMismatch
+from projgeo.errors import DimensionMismatch, InvalidInput
 from projgeo.suites import rand_distinct_points, rand_proj_point
 
 CP = {"field": "complex"}
@@ -454,6 +454,11 @@ def test_mobius_rejects_singular_coefficients():
         mobius_apply(1, 2, 2, 4, 1.0)
     with pytest.raises(SingularCoefficients):
         mobius_matches_projective(1, 2, 2, 4, 5)
+    # a non-finite coefficient is named, not read as a value of the map
+    with pytest.raises(InvalidInput, match="coefficients must be finite"):
+        mobius_apply(math.inf, 0, 0, 1, 1.0)
+    with pytest.raises(InvalidInput, match="coefficients must be finite"):
+        mobius_matches_projective(0, math.nan, 1, 0, 5)
 
 
 def test_mobius_matches_projective_examples():

@@ -16,13 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projgeo import (
-    HopfPoint, NotCanonical, ScaleGroup, Tolerance, hopf_distance, hopf_points_equal, norm2,
-    quotient_project,
+    HopfPoint, NotCanonical, ScaleGroup, hopf_distance, hopf_points_equal, norm2, quotient_project,
 )
 from projgeo.hopf_manifold import _LOW
 
 TWO = ScaleGroup(2)
-TINY = Tolerance(1e-320)  # no draw here is a zero vector
 
 
 @pytest.mark.parametrize("rep", [[2.0000000002, 0.0], [0.9999999999, 0.0]])
@@ -71,17 +69,19 @@ def test_v_and_lam_v_get_the_same_representative_at_lam_2(nrm):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 @example(lam=1.5 + 2j, place=0.5, k=1, seed=0)
+@example(lam=1e4j, place=0.99999, k=-1, seed=0)  # 1.017e-12 apart, over a bound of 1e-12
 def test_v_and_a_power_of_lam_get_one_representative_at_a_complex_lam(lam, place, k, seed):
     # clear of the edges by far more than roundoff, the two representatives
-    # differ by the roundoff of lam^k only
+    # differ by the roundoff of lam^k only: a few units of 2^-53 of a norm up
+    # to |lam| (at most 3.42 units over 183,000 cases of these draws)
     group = ScaleGroup(lam)
     a = group.abs_scale
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     v = w * (_LOW * a ** place / norm2(w))
-    h = quotient_project(v, group, TINY)
+    h = quotient_project(v, group)
     assert np.array_equal(h.rep, v)
-    assert hopf_distance(h, quotient_project(v * lam ** k, group, TINY)) < 1e-12
+    assert hopf_distance(h, quotient_project(v * lam ** k, group)) < 16 * 2.0 ** -53 * a
 
 
 _SCALES = (1.0 + 1e-9, 1.000001, 2.0, -3.0, 1e4, 1e60, 1e4j, 1.5 + 2j,
@@ -114,7 +114,7 @@ def test_quotient_project_stays_in_the_window_at_its_edges(lam, n, power, edge, 
     if real and group.is_real:
         w = w.real
     v = w * (a ** k * edge * (1.0 + ulps * 2.0 ** -53) / norm2(w))
-    h = quotient_project(v, group, TINY)  # the constructor's check runs inside
+    h = quotient_project(v, group)  # the constructor's check runs inside
     assert _LOW <= norm2(h.rep) < a * _LOW
-    assert np.array_equal(quotient_project(h.rep, group, TINY).rep, h.rep)
+    assert np.array_equal(quotient_project(h.rep, group).rep, h.rep)
     assert np.array_equal(HopfPoint(group, h.rep).rep, h.rep)

@@ -100,6 +100,9 @@ def test_orthonormalize_idempotent():
 def test_orthonormalize_zero_columns():
     with pytest.raises(RankDeficientToZero):
         orthonormalize(np.zeros((3, 2)))
+    # an eps of 1 or more drops every column of a nonzero span
+    with pytest.raises(RankDeficientToZero, match="drops every column"):
+        orthonormalize(np.eye(2), Tolerance(eps_abs=1e300))
 
 
 def test_kernel_coordinate_functional():

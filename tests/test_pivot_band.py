@@ -51,13 +51,10 @@ _GAPS = dict(
 @example(seed=1, field="real", d=4, log_gap=-11.0)
 def test_builders_give_the_same_bits_at_every_eps(seed, field, d, log_gap):
     rng = np.random.default_rng(seed)
-    v = near_tie(rng, rng.standard_normal(d), field, 10.0 ** log_gap)
     a = near_tie(rng, rand_invertible(rng, d, field), field, 10.0 ** log_gap)
     assume(np.linalg.cond(a) < 1e6)
-    points = [pg.point_from_vector(v, pg.Tolerance(eps)).h for eps in EPS]
+    # point_from_vector takes no eps; map_from_matrix reads it only in its cap
     maps = [pg.map_from_matrix(a, pg.Tolerance(eps)).M for eps in EPS]
-    for h in points[1:]:
-        assert h.tobytes() == points[0].tobytes()
     for m in maps[1:]:
         assert m.tobytes() == maps[0].tobytes()
 
