@@ -319,12 +319,6 @@ def _diameter_ends(h: np.ndarray, *half_turns: float) -> np.ndarray:
     return _stereo_fiber(h, nearest + np.array(half_turns) * math.pi)
 
 
-def _stereo_radius(h: np.ndarray) -> float:
-    """Radius of the R^3 circle a fiber projects to (see :func:`_stereo_circle`)."""
-    near, far = _diameter_ends(h, 0.0, 1.0)
-    return 0.5 * norm2(near - far)
-
-
 def _stereo_circle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Centre, unit normal and radius of the R^3 circle a fiber projects to.
 
@@ -380,7 +374,7 @@ def linking_number(
     centre, normal, radius = _stereo_circle(hp)
     sep = _fiber_separation(hp, hq)
     # 4 r (1 - cos(pi / m)), written as 8 r sin^2(pi / 2m) to keep its digits
-    bound = 8.0 * max(radius, _stereo_radius(hq)) * math.sin(0.5 * math.pi / m) ** 2
+    bound = 8.0 * max(radius, _stereo_circle(hq)[2]) * math.sin(0.5 * math.pi / m) ** 2
     if sep / 2.0 <= bound:
         raise Unresolved(
             f"fibers {sep:.3g} apart are too close for {m} samples: "

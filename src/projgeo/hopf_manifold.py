@@ -232,14 +232,20 @@ def induced_linear(g, point: HopfPoint, tol: Tolerance = DEFAULT_TOLERANCE) -> H
     """Class of G applied to the representative.
 
     Well-defined because linear maps commute with scalar multiplication;
-    the result does not depend on which class member was stored.
+    the result does not depend on which class member was stored.  When G
+    times the representative passes the largest double, G is applied to
+    the smaller member lam^-k rep instead, with k chosen to keep it finite.
     """
     gm = _invertible(g, tol, point.field, point.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises InvalidRange below
-        image = gm @ point.rep
-    if not np.isfinite(image).all():
-        raise InvalidRange("G times the representative leaves the range of doubles")
-    return _project(image, point.group)
+    rep, group = point.rep, point.group
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = gm @ rep
+        if not np.isfinite(image).all():  # each entry is at most sqrt(n) max|G_ij| |rep|
+            log_a = math.log(group.abs_scale)
+            big = np.max(np.abs(gm / np.finfo(np.float64).max)) * 4 * rep.size * norm2(rep)
+            k = max(1, math.ceil(math.log(big) / log_a))
+            image = gm @ _scaled(rep, group.lam, -k, log_a)
+    return _project(image, group)
 
 
 def subspace_trace_membership(point: HopfPoint, s, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

@@ -4,8 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned in the body of its test.
 """
 
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -22,6 +20,8 @@ from projgeo.suites import (
     rand_subspace,
     rand_vector,
 )
+
+from cli_harness import run_process
 
 FIELDS = ("real", "complex")
 DIMS = (1, 2, 3, 5)
@@ -237,10 +237,10 @@ def test_criterion_13_hopf_manifold():
 
 
 def test_criterion_14_cli_determinism():
-    cmd = [sys.executable, "-m", "projgeo", "check",
-           "--suite", "all", "--trials", "50", "--seed", "1"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # two processes: only they show stdout bytes that hold from one interpreter start to the next
+    argv = ["check", "--suite", "all", "--trials", "50", "--seed", "1"]
+    first = run_process(*argv)
+    second = run_process(*argv)
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import cli
 from projgeo.suites import rand_invertible, rand_nonzero_scalar, rand_nonzero_vector
+
+from cli_harness import run_cli
 
 FIELDS = ("real", "complex")
 
@@ -121,13 +122,12 @@ def test_tie_pair_is_one_point_to_every_fiber_computation():
         pg.fibers_min_distance(p, q, 64)
 
 
-def test_link_on_a_tie_pair_exits_3(tmp_path, capsys):
+def test_link_on_a_tie_pair_exits_3(tmp_path):
     paths = []
     for name, v in zip("pq", tie_pair()):
         doc = {"kind": "proj_point", "field": "complex", "n": 1,
                "h": [[float(z.real), float(z.imag)] for z in v]}
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(doc))
-    assert cli.main(["link", *map(str, paths)]) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err == "projgeo: a fiber is not linked with itself\n"
+    assert run_cli("link", *map(str, paths)) == (
+        3, "", "projgeo: a fiber is not linked with itself\n")

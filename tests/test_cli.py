@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from projgeo import cli, jsonio, projective, suites
+from projgeo import jsonio, projective, suites
 from projgeo.errors import ZeroVector
 from projgeo.jsonio import dumps, encode
 from projgeo import (
@@ -17,10 +17,7 @@ from projgeo import (
     subspace_from_span,
 )
 
-
-def run_cli(*args, env=None):
-    cmd = [sys.executable, "-m", "projgeo", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+from cli_harness import run_cli, run_process
 
 
 def write_doc(path, obj):
@@ -117,6 +114,23 @@ def test_apply_ill_conditioned_exits_4(docs, tmp_path):
     assert res.returncode == 4
 
 
+POINT = '{"kind": "proj_point", "field": "real", "n": 1, "h": [1.0, 0.0]}'
+
+
+@pytest.mark.parametrize(
+    "map_doc, code",
+    [('{"kind": "proj_point", ', 2), (POINT, 3),
+     ('{"kind": "proj_map", "field": "real", "n": 1, "M": [[1.0, 0.0], [0.0, 1e-15]]}', 4)],
+    ids=["malformed-json", "kind-mismatch", "ill-conditioned"],
+)
+def test_python_m_projgeo_exit_codes(tmp_path, map_doc, code):
+    # a process: only it shows how __main__ turns main's return into an exit code
+    res = run_process("apply", write_doc(tmp_path / "m.json", map_doc),
+                      write_doc(tmp_path / "p.json", POINT))
+    assert res.returncode == code
+    assert res.stdout == b"" and res.stderr.startswith(b"projgeo: ")
+
+
 @pytest.mark.parametrize(
     "operand, matrix, code",
     [
@@ -131,18 +145,18 @@ def test_apply_ill_conditioned_exits_4(docs, tmp_path):
          "hopf-not-square", "hopf-wrong-size", "hopf-singular"],
 )
 def test_apply_a_bad_matrix_exits_3_for_its_shape_and_4_near_singular(
-    docs, capsys, operand, matrix, code
+    docs, operand, matrix, code
 ):
     target = (subspace_from_span(np.eye(4)[:, :2]) if operand == "subspace"
               else quotient_project([1.0, 1.0]))
-    assert cli.main(["apply", docs("g.json", matrix), docs("x.json", target)]) == code
-    assert capsys.readouterr().out == ""
+    res = run_cli("apply", docs("g.json", matrix), docs("x.json", target))
+    assert (res.returncode, res.stdout) == (code, "")
 
 
 def test_apply_a_non_square_proj_map_document_exits_3(tmp_path, docs):
     doc = {"kind": "proj_map", "field": "real", "n": 1, "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
     path = write_doc(tmp_path / "m.json", json.dumps(doc))
-    assert cli.main(["apply", path, docs("p.json", point_from_vector([1.0, 0.0]))]) == 3
+    assert run_cli("apply", path, docs("p.json", point_from_vector([1.0, 0.0]))).returncode == 3
 
 
 def test_fiber_real_two_rows(docs):
@@ -287,6 +301,7 @@ def test_check_suite_exits_zero():
 
 
 def test_check_deterministic_byte_identical():
+    # two runs in one process: no state leaks from one call of main to the next
     a = run_cli("check", "--suite", "all", "--trials", "10", "--seed", "1")
     b = run_cli("check", "--suite", "all", "--trials", "10", "--seed", "1")
     assert a.returncode == b.returncode == 0
@@ -313,17 +328,15 @@ def test_check_draws_clear_of_eps_and_lambda(args):
     assert all(re.fullmatch(r"[a-z-]+\.[a-z_]+: \d+/\d+ (PASS|FAIL)", line) for line in lines[:-1])
 
 
-def test_check_error_names_property_and_trial(monkeypatch, capsys):
+def test_check_error_names_property_and_trial(monkeypatch):
     def trial(rng, i, tol, lam):
         if i == 2:
             raise ZeroVector("cannot project the zero vector")
         return True
 
     monkeypatch.setitem(suites.SUITES, "fibration", [("probe", trial)])
-    assert cli.main(["check", "--suite", "fibration", "--trials", "5"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "projgeo: fibration.probe, trial 2: cannot project the zero vector\n"
+    assert run_cli("check", "--suite", "fibration", "--trials", "5") == (
+        2, "", "projgeo: fibration.probe, trial 2: cannot project the zero vector\n")
 
 
 def test_check_unknown_suite_exits_2():
@@ -331,17 +344,18 @@ def test_check_unknown_suite_exits_2():
     assert res.returncode == 2
 
 
-def test_env_var_overrides_tolerance(docs, tmp_path, monkeypatch):
+def test_env_var_overrides_tolerance(docs):
+    # a process: only it reads PROJGEO_EPS from the environment it starts with
     import os
 
     p = point_from_vector([1.0, 1e-6, 0.0])
     env = dict(os.environ, PROJGEO_EPS="1e-3")
-    res = run_cli("chart", "extract", docs("p.json", p), "--j", "2", env=env)
+    res = run_process("chart", "extract", docs("p.json", p), "--j", "2", env=env)
     assert res.returncode == 0
-    assert res.stdout.strip() == "null"  # 1e-6 pivot is "zero" at eps 1e-3
-    res2 = run_cli("chart", "extract", docs("p2.json", p), "--j", "2")
+    assert res.stdout.strip() == b"null"  # 1e-6 pivot is "zero" at eps 1e-3
+    res2 = run_process("chart", "extract", docs("p2.json", p), "--j", "2")
     assert res2.returncode == 0
-    assert res2.stdout.strip() != "null"
+    assert res2.stdout.strip() != b"null"
 
 
 def fiber_pair(sep):
@@ -526,11 +540,11 @@ FIBER_DOCS = {
     ],
 )
 def test_fiber_csv_bytes_are_pinned(tmp_path, doc, flags, digest):
+    # a process: only it shows the bytes that reach stdout
     import hashlib
 
     path = write_doc(tmp_path / "p.json", FIBER_DOCS[doc])
-    res = subprocess.run([sys.executable, "-m", "projgeo", "fiber", path, *flags],
-                         capture_output=True)
+    res = run_process("fiber", path, *flags)
     assert res.returncode == 0 and res.stderr == b""
     assert hashlib.sha256(res.stdout).hexdigest() == digest
 
@@ -552,13 +566,12 @@ FULL_DOCS = {
     [(kind, name) for kind, spec in jsonio._KINDS.items() for name in spec.fields]
     + [("proj_point", "kind")],
 )
-def test_missing_field_exits_2_naming_kind_and_field(tmp_path, capsys, kind, missing):
+def test_missing_field_exits_2_naming_kind_and_field(tmp_path, kind, missing):
     assert set(FULL_DOCS) == set(jsonio._KINDS)
     doc = {k: v for k, v in {"kind": kind, **FULL_DOCS[kind]}.items() if k != missing}
     path = write_doc(tmp_path / "doc.json", json.dumps(doc))
     where = "document" if missing == "kind" else f"{kind} document"
-    assert cli.main(["apply", path, path]) == 2
-    assert capsys.readouterr() == ("", f"projgeo: {where} has no field '{missing}'\n")
+    assert run_cli("apply", path, path) == (2, "", f"projgeo: {where} has no field '{missing}'\n")
 
 
 @pytest.mark.parametrize(
@@ -578,10 +591,9 @@ def test_missing_field_exits_2_naming_kind_and_field(tmp_path, capsys, kind, mis
     ],
     ids=["declared-n", "v-not-a-list", "string-entry", "unknown-key", "whole-span"],
 )
-def test_invalid_document_exits_2_naming_kind_and_field(tmp_path, capsys, text, message):
+def test_invalid_document_exits_2_naming_kind_and_field(tmp_path, text, message):
     path = write_doc(tmp_path / "doc.json", text)
-    assert cli.main(["chart", "embed", path, "--j", "1"]) == 2
-    assert capsys.readouterr() == ("", f"projgeo: {message}\n")
+    assert run_cli("chart", "embed", path, "--j", "1") == (2, "", f"projgeo: {message}\n")
 
 
 # --- tolerance flags before and after a sub-command ----------------------------
@@ -609,105 +621,94 @@ SUBCOMMANDS = [
 ]
 
 
-def run_main(capsys, argv):
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=[" ".join(a[:2]) for a in SUBCOMMANDS])
 @pytest.mark.parametrize("flags", [["--eps", "1e-3"], ["--cond-max", "0.5"]])
 def test_a_tolerance_flag_gives_one_answer_before_or_after_the_sub_command(
-        tmp_path, capsys, monkeypatch, argv, flags):
+        tmp_path, monkeypatch, argv, flags):
     # None of these sub-commands meets the conditioning cap, so an invalid
     # --cond-max, which exits 2, is what shows that the flag was read.
     monkeypatch.delenv("PROJGEO_EPS", raising=False)
     argv = [write_doc(tmp_path / f"{a}.json", FLAG_DOCS[a]) if a in FLAG_DOCS else a for a in argv]
-    before = run_main(capsys, [*argv[:1], *flags, *argv[1:]])
-    after = run_main(capsys, [*argv, *flags])
+    before = run_cli(*argv[:1], *flags, *argv[1:])
+    after = run_cli(*argv, *flags)
     assert before == after
     if flags[0] == "--cond-max":
         assert after[0] == 2
 
 
-def test_a_flag_before_the_sub_command_is_not_dropped(tmp_path, capsys, monkeypatch):
+def test_a_flag_before_the_sub_command_is_not_dropped(tmp_path, monkeypatch):
     monkeypatch.delenv("PROJGEO_EPS", raising=False)
     path = write_doc(tmp_path / "p.json", NEAR_TIE)
     # the 1e-6 coordinate is zero at eps 1e-3, so the point is off chart 2
-    assert run_main(capsys, ["chart", "--eps", "1e-3", "extract", path, "--j", "2"]) == (
-        0, "null\n", "")
+    assert run_cli("chart", "--eps", "1e-3", "extract", path, "--j", "2") == (0, "null\n", "")
     answer = (0, '{"kind": "vector", "field": "real", "v": [1000000, 0]}\n', "")
-    assert run_main(capsys, ["chart", "extract", path, "--j", "2"]) == answer
+    assert run_cli("chart", "extract", path, "--j", "2") == answer
     # given at both places, the flag after the sub-command wins
-    assert run_main(capsys, ["chart", "--eps", "1e-3", "extract", path, "--j", "2",
-                             "--eps", "1e-9"]) == answer
+    assert run_cli("chart", "--eps", "1e-3", "extract", path, "--j", "2",
+                   "--eps", "1e-9") == answer
     # PROJGEO_EPS yields to a flag at either place
     monkeypatch.setenv("PROJGEO_EPS", "1e-3")
-    assert run_main(capsys, ["chart", "extract", path, "--j", "2"])[1] == "null\n"
-    assert run_main(capsys, ["chart", "--eps", "1e-9", "extract", path, "--j", "2"]) == answer
-    assert run_main(capsys, ["chart", "extract", path, "--j", "2", "--eps", "1e-9"]) == answer
+    assert run_cli("chart", "extract", path, "--j", "2").stdout == "null\n"
+    assert run_cli("chart", "--eps", "1e-9", "extract", path, "--j", "2") == answer
+    assert run_cli("chart", "extract", path, "--j", "2", "--eps", "1e-9") == answer
 
 
 def test_importing_the_cli_does_not_load_numpy_random():
+    # a process: only a new interpreter shows which modules the import loads
     code = "import sys, projgeo.cli; print('numpy.random' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
 
 
-def test_to_projective_prints_the_point_of_the_documents_own_lambda(tmp_path, capsys):
+def test_to_projective_prints_the_point_of_the_documents_own_lambda(tmp_path):
     path = write_doc(tmp_path / "h.json", quotient_project([30.0, 40.0, 0.0], ScaleGroup(3.0)))
     assert json.loads((tmp_path / "h.json").read_text())["lambda"] == 3
-    code, out, err = run_main(capsys, ["hopf", "to-projective", path])
+    code, out, err = run_cli("hopf", "to-projective", path)
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert (doc["kind"], doc["n"]) == ("proj_point", 2)
     assert np.max(np.abs(np.array(doc["h"]) - [0.6, 0.8, 0.0])) < 1e-15
-    with pytest.raises(SystemExit):
-        cli.main(["hopf", "to-projective", "--help"])
-    usage = capsys.readouterr().out
+    code, usage, err = run_cli("hopf", "to-projective", "--help")
+    assert (code, err) == (0, "")
     assert "--eps" in usage and "--lambda" not in usage
 
 
-def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path):
     path = write_doc(tmp_path / "deep.json", "[" * 100000 + "]" * 100000)
-    assert cli.main(["apply", path, path]) == 2
-    assert capsys.readouterr() == ("", f"projgeo: {path}: JSON nested too deeply\n")
+    assert run_cli("apply", path, path) == (2, "", f"projgeo: {path}: JSON nested too deeply\n")
 
 
 CP2 = {"p": '{"kind": "proj_point", "field": "complex", "n": 2, "h": [[1, 0], [0, 1], [0.5, 0]]}',
        "q": '{"kind": "proj_point", "field": "complex", "n": 2, "h": [[0, 1], [1, 0], [0, 0]]}'}
 
 
-def test_link_on_two_cp2_documents_exits_3_naming_what_it_got(tmp_path, capsys):
+def test_link_on_two_cp2_documents_exits_3_naming_what_it_got(tmp_path):
     paths = [write_doc(tmp_path / f"{name}.json", doc) for name, doc in CP2.items()]
-    assert cli.main(["link", *paths]) == 3
-    assert capsys.readouterr() == (
-        "", "projgeo: expected a point of CP^1, got a complex point with n = 2\n")
+    assert run_cli("link", *paths) == (
+        3, "", "projgeo: expected a point of CP^1, got a complex point with n = 2\n")
 
 
 @pytest.mark.parametrize("doc, got", [("real-n2", "a real point with n = 2"),
                                       ("complex-n3", "a complex point with n = 3")])
-def test_fiber_stereo_off_cp1_exits_3_before_printing(tmp_path, capsys, doc, got):
+def test_fiber_stereo_off_cp1_exits_3_before_printing(tmp_path, doc, got):
     path = write_doc(tmp_path / "p.json", FIBER_DOCS[doc])
-    assert cli.main(["fiber", path, "--stereo"]) == 3
-    assert capsys.readouterr() == ("", f"projgeo: expected a point of CP^1, got {got}\n")
+    assert run_cli("fiber", path, "--stereo") == (
+        3, "", f"projgeo: expected a point of CP^1, got {got}\n")
 
 
-def test_a_bad_env_eps_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch):
+def test_a_bad_env_eps_exits_2_naming_the_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("PROJGEO_EPS", "abc")
     path = write_doc(tmp_path / "w.json", DOCS["vector"])
-    assert cli.main(["chart", "embed", path, "--j", "1"]) == 2
-    assert capsys.readouterr() == ("", "projgeo: $PROJGEO_EPS must be a number, got 'abc'\n")
+    assert run_cli("chart", "embed", path, "--j", "1") == (
+        2, "", "projgeo: $PROJGEO_EPS must be a number, got 'abc'\n")
 
 
-def test_a_document_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+def test_a_document_that_is_not_utf8_exits_2_naming_the_file(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "vector", "field": "real", "v": [1.0], "note": "caf\xe9"}')
-    assert cli.main(["chart", "embed", str(path), "--j", "1"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"projgeo: {path}: not UTF-8 text at byte 60\n"
+    assert run_cli("chart", "embed", str(path), "--j", "1") == (
+        2, "", f"projgeo: {path}: not UTF-8 text at byte 60\n")
 
 
 def test_an_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
@@ -717,4 +718,4 @@ def test_an_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypa
     monkeypatch.setattr(projective, "chart_embed", broken)
     path = write_doc(tmp_path / "w.json", DOCS["vector"])
     with pytest.raises(ValueError, match="an internal bug"):
-        cli.main(["chart", "embed", path, "--j", "1"])
+        run_cli("chart", "embed", path, "--j", "1")

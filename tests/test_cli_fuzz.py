@@ -10,8 +10,6 @@ raise.  ``--samples`` and ``--trials`` stay small, so that no case allocates
 at scale.
 """
 
-import contextlib
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -19,7 +17,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from projgeo import cli
+from cli_harness import run_cli
 
 EDGE_NUMBERS = (0, 1, -1, 1e308, -1e308, 1e-300, 5e-324, 1e-15, 1e15, 10 ** 400,
                 float("nan"), float("inf"), float("-inf"))
@@ -163,9 +161,7 @@ def test_cli_main_returns_a_documented_code_and_never_raises(case):
             Path(paths[-1]).write_bytes(content)
         argv = [arg.format(*paths, **params) for arg in args]
         argv = [argv[0], *flags, *(arg for arg in argv[1:] if arg)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        code, _, err = run_cli(*argv)
     assert code in ((0, 1, 2, 3, 4) if argv[0] == "check" else (0, 2, 3, 4)), (argv, code)
     if code >= 2:
-        assert err.getvalue().startswith("projgeo: "), (argv, err.getvalue())
+        assert err.startswith("projgeo: "), (argv, err)

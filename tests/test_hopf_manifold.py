@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -212,11 +213,39 @@ def test_field_and_dimension_guards():
         induced_linear(np.eye(3), h)
 
 
-def test_induced_linear_rejects_an_image_past_the_largest_double():
-    # (1e308 + 1e308 i)(1 + i) = 2e308 i
+def test_induced_linear_answers_when_the_image_passes_the_largest_double():
+    # (1e308 + 1e308 i)(1 + i) = 2e308 i, and the class has smaller members
     h = quotient_project([1.0 + 1.0j], TWO)
-    with pytest.raises(InvalidRange, match="^G times the representative leaves the range"):
-        induced_linear(np.array([[1e308 + 1e308j]]), h)
+    g = np.array([[1e308 + 1e308j]])
+    got = induced_linear(g, h)
+    assert got.rep.tobytes() == induced_linear(g / 2, h).rep.tobytes()
+    assert got.rep.tolist() == [1.1125369292536007j]
+    # near lam = 1 the smaller member is lam^-k rep with k about 1.4e6
+    group = ScaleGroup(1.0 + 1e-6)
+    got = induced_linear([[1.7976931e308]], quotient_project([1.0 + 5e-7], group))
+    shift = math.log(got.rep[0]) - math.log(1.7976931e308) - math.log(1.0 + 5e-7)
+    assert abs(math.remainder(shift, math.log(group.abs_scale))) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [2.0, 1.5 * np.exp(0.7j), 1e100, -3.0])
+def test_induced_linear_of_a_huge_matrix_is_the_projective_image(lam):
+    # G's largest singular value stays under the largest double, so that the
+    # conditioning guard can take its SVD
+    group = ScaleGroup(lam)
+    rng = np.random.default_rng(36)
+    overflowed = 0
+    for i in range(40):
+        field = "complex" if i % 2 or not group.is_real else "real"
+        v = rand_nonzero_vector(rng, 1 + i % 3, field)
+        g = rand_invertible(rng, 1 + i % 3, field)
+        big = g / np.linalg.norm(g, 2) * (rng.uniform(0.5, 1.0) * np.finfo(np.float64).max)
+        h = quotient_project(v, group)
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflowed += not np.isfinite(big @ h.rep).all()
+        top = to_projective(induced_linear(big, h))
+        bottom = apply_map(map_from_matrix(g), to_projective(h))
+        assert point_distance(top, bottom) < 1e-9
+    assert overflowed >= 3
 
 
 def test_hopf_point_validation():

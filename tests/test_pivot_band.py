@@ -13,9 +13,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import projgeo as pg
-from projgeo import cli
 from projgeo.jsonio import dumps, encode
 from projgeo.suites import rand_invertible
+
+from cli_harness import run_cli
 
 EPS = (1e-9, 1e-6, 1e-3, 1e-2)
 FIELDS = ("real", "complex")
@@ -72,21 +73,19 @@ def test_chart_cover_keeps_its_bound_at_every_eps(seed, field, d, log_gap):
     assert abs(p.h[chart.j - 1]) >= 1.0 / math.sqrt(d) - 1e-12
 
 
-def test_apply_prints_the_same_point_at_the_default_and_a_coarse_eps(tmp_path, capsys):
+def test_apply_prints_the_same_point_at_the_default_and_a_coarse_eps(tmp_path):
     identity = tmp_path / "id.json"
     identity.write_text(dumps(encode(pg.identity_map(1, "complex"))))
     point = tmp_path / "p.json"
     point.write_text('{"kind": "proj_point", "field": "complex", "n": 1, '
                      '"h": [[0, 0.9999], [1, 0]]}')
-    outs = []
-    for flags in ([], ["--eps", "1e-3"]):
-        assert cli.main(["apply", str(identity), str(point), *flags]) == 0
-        outs.append(capsys.readouterr())
+    outs = [run_cli("apply", str(identity), str(point), *flags) for flags in ([], ["--eps", "1e-3"])]
+    assert outs[0].returncode == 0
     assert outs[0] == outs[1]
-    assert outs[0].out.endswith('"h": [[0, 0.70707142319570515], [0.70714213740944609, 0]]}\n')
+    assert outs[0].stdout.endswith('"h": [[0, 0.70707142319570515], [0.70714213740944609, 0]]}\n')
 
 
-def test_projective_suite_passes_at_a_coarse_eps(capsys):
-    argv = ["check", "--suite", "projective", "--eps", "1e-2", "--trials", "200", "--seed", "1"]
-    assert cli.main(argv) == 0
-    assert "projective.atlas_cover: 200/200 PASS\n" in capsys.readouterr().out
+def test_projective_suite_passes_at_a_coarse_eps():
+    res = run_cli("check", "--suite", "projective", "--eps", "1e-2", "--trials", "200", "--seed", "1")
+    assert res.returncode == 0
+    assert "projective.atlas_cover: 200/200 PASS\n" in res.stdout
