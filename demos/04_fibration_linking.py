@@ -10,7 +10,7 @@ import projgeo as pg
 print("== the real story: a double cover ==")
 p = pg.point_from_vector([3.0, 4.0])
 up, down = pg.real_fiber(p)
-print(f"  fiber over [3 : 4] in RP^1: {up.x} and {down.x}")
+print(f"  fiber over [3 : 4] in RP^1: {up} and {down}")
 print(f"  both project back: "
       f"{pg.points_equal(pg.hopf_project(up), p)}, "
       f"{pg.points_equal(pg.hopf_project(down), p)}")
@@ -24,7 +24,7 @@ print(f"  8 samples of the fiber over [1 : i]; projection error {max(errs):.2e}"
 a = pg.point_from_vector(np.array([1.0 + 0j, 0.0]))
 b = pg.point_from_vector(np.array([0.0j, 1.0]))
 print(f"  distance between the fibers of [1:0] and [0:1]: "
-      f"{pg.fibers_min_distance(a, b, 64):.6f}  (exactly sqrt(2) = {np.sqrt(2):.6f})")
+      f"{pg.fibers_min_distance(a, b):.6f}  (sqrt(2 - 2 |<a, b>|) = sqrt(2) = {np.sqrt(2):.6f})")
 
 rng = np.random.default_rng(3)
 dmin = np.inf
@@ -34,7 +34,7 @@ for _ in range(50):
     pa, pb = pg.point_from_vector(v), pg.point_from_vector(w)
     if pg.points_equal(pa, pb):
         continue
-    dmin = min(dmin, pg.fibers_min_distance(pa, pb, 64))
+    dmin = min(dmin, pg.fibers_min_distance(pa, pb))
 print(f"  smallest gap over 50 random distinct pairs: {dmin:.4f}  (never zero)")
 
 print("\n== any two fibers over CP^1 are linked ==")

@@ -48,7 +48,6 @@ from projgeo.grassmann import (
 from projgeo.hopf_fibration import (
     INFINITY,
     ExtendedComplex,
-    SpherePoint,
     complex_fiber_sample,
     cp1_affine,
     cp1_from_affine,

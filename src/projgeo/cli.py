@@ -125,7 +125,7 @@ def _cmd_fiber(args, tol: Tolerance) -> int:
     # the stereographic columns come first, so that their CP^1 check runs before any sampling
     stereo = hopf_fibration.fiber_stereo_samples(p, args.samples) if args.stereo else None
     if p.field == REAL:
-        table = np.stack([x.x for x in hopf_fibration.real_fiber(p)])
+        table = hopf_fibration.real_fiber(p)
     else:
         table = hopf_fibration.complex_fiber_sample(p, args.samples).view(np.float64)
     names = [f"x{i + 1}" for i in range(table.shape[1])]

@@ -16,6 +16,7 @@ P^n is G(1, n+1), and a projective l-plane P(L) is the point L of
 G(l+1, n+1), so a ProjSubspace is held as its linear Subspace L.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ from projgeo.numerics import (
     field_of,
 )
 from projgeo.projective import AffineChart, ProjMap, ProjPoint, _made, _point_of, _same_space
+
+# _image retries a product that overflows at 2^-64, so numpy's overflow
+# warning from this module is expected
+warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning, __name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +220,10 @@ def apply_gl(g, s: Subspace, tol: Tolerance = DEFAULT_TOLERANCE) -> Subspace:
 
 def _image(gm: np.ndarray, s: Subspace, tol: Tolerance) -> Subspace:
     """Image of a subspace under a matrix that has passed the conditioning guard."""
-    q = numerics.orthonormalize(gm @ s.basis, tol)
+    try:
+        q = numerics.orthonormalize(gm @ s.basis, tol)
+    except InvalidInput:  # the product passed the largest double; 2^-64 keeps the span exactly
+        q = numerics.orthonormalize((gm * 2.0 ** -64) @ s.basis, tol)
     if q.shape[1] != s.k:
         raise IllConditioned("image dropped rank numerically")
     return _made(Subspace, field=s.field, n=s.n, k=s.k)._hold(q)

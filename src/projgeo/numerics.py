@@ -147,8 +147,10 @@ def _condition(a: np.ndarray, cap: float = math.inf) -> float:
     """Singular-value ratio of a coerced matrix, inf when singular; raises
     IllConditioned when it exceeds ``cap``."""
     s = np.linalg.svd(a, compute_uv=False)
+    if s.size and not s[0] < math.inf:  # past the largest double: 2^-64 scales exactly
+        s = np.linalg.svd(a * 2.0 ** -64, compute_uv=False)
     c = math.inf if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
-    if c > cap:
+    if not c <= cap:
         raise IllConditioned(f"condition estimate {c:.3e} exceeds cap {cap:.3e}")
     return c
 

@@ -191,13 +191,21 @@ def _point_of(v: np.ndarray) -> ProjPoint:
     return _made(ProjPoint, field=COMPLEX if h.dtype.kind == "c" else REAL, n=h.shape[0] - 1, h=h)
 
 
-def _class_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry of a - w b, with w the unit phase of <b, a> (its sign
-    over R; 1 when <b, a> = 0) that turns b toward a.  For unit a and b it
-    is the same for every unit representative of either class."""
+def _aligned_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - w b, with w the unit phase of <b, a> (its sign over R; 1 when
+    <b, a> = 0) that turns b toward a.  Its norm is min over t of
+    |a - e^{it} b|, the distance between the circle fibers through a and b,
+    equal to sqrt(2 - 2 |<a, b>|) for unit a and b but free of that
+    formula's cancellation when they are close."""
     c = np.vdot(b, a)  # flattens matrices
     w = c / abs(c) if c != 0 else 1.0
-    return float(np.max(np.abs(a - w * b)))
+    return a - w * b
+
+
+def _class_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entry of :func:`_aligned_difference`: the same for every
+    unit representative of either class."""
+    return float(np.max(np.abs(_aligned_difference(a, b))))
 
 
 def point_distance(p: ProjPoint, q: ProjPoint) -> float:
@@ -282,7 +290,7 @@ def identity_map(n: int, field: str = REAL) -> ProjMap:
     return _map_class(np.eye(n + 1, dtype=dtype_for(field)))
 
 
-def group_dimension(n: int, field: str = REAL) -> int:
+def group_dimension(n: int) -> int:
     """Dimension of the projective linear group acting on P^n.
 
     The count is (n+1)^2 - 1, read as a real dimension over R and as a

@@ -272,8 +272,10 @@ def _hopf_trial(i: int, lam) -> tuple[hopf_manifold.ScaleGroup, str, int]:
 
 
 # A vector scaled by a power of |lam| must keep its norm inside
-# (2 eps, _NORM_CAP): no check may treat it as zero, and its squared norm
-# must not overflow.
+# (2 eps, _NORM_CAP).  The floor keeps v lam^k from underflowing to an exact
+# zero, which quotient_project rejects: at lam = 1e60, lam^-6 is 1e-360.  It
+# sits at 2 eps, not at the underflow, so the seeded draws stay as they were.
+# Under the cap the squared norm does not overflow.
 _NORM_CAP = 1e150
 
 
@@ -281,9 +283,10 @@ def _clear_powers(v, a: float, tol: Tolerance, lowest: int, count: int) -> tuple
     """Bounds (lo, hi) of the powers k by which a property scales ``v``.
 
     The run is ``count`` powers long, from ``lowest`` or from the first
-    power above it at which |v| a^k exceeds 2 eps, and it stops before
-    |v| a^k reaches _NORM_CAP.  At the default eps and lam it is
-    (lowest, lowest + count - 1), so the seeded draws stay the same.
+    power above it at which |v| a^k exceeds 2 eps, so that no scaled draw
+    underflows to zero, and it stops before |v| a^k reaches _NORM_CAP.  At
+    the default eps and lam it is (lowest, lowest + count - 1), so the
+    seeded draws stay the same.
     """
     nrm, log_a = numerics.norm2(v), math.log(a)
     lo = max(lowest, math.floor(math.log(2.0 * tol.eps_abs / nrm) / log_a) + 1)
@@ -378,8 +381,8 @@ def _prop_real_double_cover(rng, i, tol, lam):
     back1 = hopf_fibration.hopf_project(x1)
     back2 = hopf_fibration.hopf_project(x2)
     return (
-        np.array_equal(x1.x, -x2.x)
-        and abs(numerics.norm2(x1.x) - 1.0) < 1e-12
+        np.array_equal(x1, -x2)
+        and abs(numerics.norm2(x1) - 1.0) < 1e-12
         and projective.point_distance(back1, p) < 1e-10
         and projective.point_distance(back2, p) < 1e-10
     )
@@ -402,9 +405,12 @@ def _prop_circle_fiber(rng, i, tol, lam):
 def _prop_disjointness(rng, i, tol, lam):
     n = 1 if i % 2 == 0 else 2
     p, q = rand_distinct_points(rng, n, COMPLEX, tol)
-    sampled = hopf_fibration.fibers_min_distance(p, q, 64, tol)
-    exact = np.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(p.h, q.h))))
-    return sampled > 1e-3 and sampled >= exact - 1e-12
+    exact = hopf_fibration.fibers_min_distance(p, q, tol)
+    # an independent bound from above: the closest pair of 64-point samples,
+    # whose roundoff of about 2^-51 / exact is under the 1e-12 margin once exact > 1e-3
+    xs, ys = (hopf_fibration.complex_fiber_sample(r, 64) for r in (p, q))
+    sampled = np.sqrt(max(0.0, (2.0 - 2.0 * (xs @ ys.conj().T).real).min()))
+    return exact > 1e-3 and sampled >= exact - 1e-12
 
 
 def _prop_sphere_chart(rng, i, tol, lam):

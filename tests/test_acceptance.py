@@ -76,8 +76,7 @@ def test_criterion_03_scalar_class():
 
 def test_criterion_04_dimension_formulas():
     for n in range(1, 11):
-        assert pg.group_dimension(n, "real") == (n + 1) ** 2 - 1
-        assert pg.group_dimension(n, "complex") == (n + 1) ** 2 - 1
+        assert pg.group_dimension(n) == (n + 1) ** 2 - 1
         for k in range(1, n):
             assert pg.grassmann_dimension(k, n) == k * (n - k)
     _report(4, "group and Grassmann dimensions")
@@ -163,9 +162,9 @@ def test_criterion_09_double_cover():
         fiber = pg.real_fiber(p)
         assert len(fiber) == 2
         x1, x2 = fiber
-        assert np.array_equal(x1.x, -x2.x)
-        assert abs(np.linalg.norm(x1.x) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(x2.x) - 1.0) < 1e-12
+        assert np.array_equal(x1, -x2)
+        assert abs(np.linalg.norm(x1) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(x2) - 1.0) < 1e-12
         assert pg.point_distance(pg.hopf_project(x1), p) < 1e-12
         assert pg.point_distance(pg.hopf_project(x2), p) < 1e-12
     _report(9, "real double cover")
@@ -181,7 +180,7 @@ def test_criterion_10_circle_fibers_and_disjointness():
     for i in range(200):
         n = 1 if i % 2 == 0 else 2
         p, q = rand_distinct_points(rng, n, "complex")
-        assert pg.fibers_min_distance(p, q, 64) > 1e-3
+        assert pg.fibers_min_distance(p, q) > 1e-3
     _report(10, "circle fibers and disjointness")
 
 

@@ -119,7 +119,7 @@ def test_tie_pair_is_one_point_to_every_fiber_computation():
     with pytest.raises(pg.SamePoint):
         pg.linking_number(p, q, 2048)
     with pytest.raises(pg.SamePoint):
-        pg.fibers_min_distance(p, q, 64)
+        pg.fibers_min_distance(p, q)
 
 
 def test_link_on_a_tie_pair_exits_3(tmp_path):

@@ -15,7 +15,6 @@ from projgeo import (
     InvalidRange,
     SamePoint,
     SingularCoefficients,
-    SpherePoint,
     Unresolved,
     complex_fiber_sample,
     cp1_affine,
@@ -38,6 +37,7 @@ from projgeo import (
     sphere_to_cp1,
 )
 from projgeo.errors import DimensionMismatch, InvalidInput
+from projgeo.numerics import Tolerance
 from projgeo.suites import rand_distinct_points, rand_proj_point
 
 CP = {"field": "complex"}
@@ -78,7 +78,7 @@ def test_project_axis_point():
 def test_antipodes_project_together():
     rng = np.random.default_rng(41)
     x = sphere_point(rng.standard_normal(4))
-    y = sphere_point(-x.x)
+    y = sphere_point(-x)
     assert points_equal(hopf_project(x), hopf_project(y))
 
 
@@ -86,14 +86,14 @@ def test_phase_orbit_projects_together():
     rng = np.random.default_rng(42)
     x = sphere_point(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     for theta in rng.uniform(0.0, 2.0 * np.pi, size=8):
-        y = sphere_point(np.exp(1j * theta) * x.x)
+        y = sphere_point(np.exp(1j * theta) * x)
         assert points_equal(hopf_project(x), hopf_project(y))
 
 
 def test_real_fiber_axis():
     a, b = real_fiber(point_from_vector([1.0, 0.0]))
-    assert_allclose(a.x, [1.0, 0.0])
-    assert_allclose(b.x, [-1.0, 0.0])
+    assert_allclose(a, [1.0, 0.0])
+    assert_allclose(b, [-1.0, 0.0])
 
 
 def test_real_fiber_properties():
@@ -101,8 +101,8 @@ def test_real_fiber_properties():
     for _ in range(50):
         p = rand_proj_point(rng, 3, "real")
         a, b = real_fiber(p)
-        assert np.array_equal(a.x, -b.x)
-        assert abs(np.linalg.norm(a.x) - 1.0) < 1e-12
+        assert np.array_equal(a, -b)
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-12
         assert points_equal(hopf_project(a), p)
         assert points_equal(hopf_project(b), p)
 
@@ -159,9 +159,24 @@ def test_hopf_project_takes_rows_and_rejects_non_unit_or_non_finite_ones():
 
 
 def test_sphere_point_rejects_a_nan_entry():
-    # NaN - 1 compares false with any bound, so the unit test must be "<= bound"
+    for call in (hopf_project, sphere_point):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(np.array([np.nan, 0.0]))
+    # NaN - 1 compares false with any bound, so the unit check must be "<= bound"
     with pytest.raises(ValueError, match="unit norm"):
-        SpherePoint("real", 2, np.array([np.nan, 0.0]))
+        hopf_fibration._require_unit(np.array([np.nan, 0.0]))
+
+
+def test_sphere_points_are_read_only_unit_arrays():
+    p = point_from_vector([3.0, -4.0, 0.5])
+    fiber = real_fiber(p)
+    assert isinstance(fiber, np.ndarray) and fiber.shape == (2, 3)
+    assert np.array_equal(fiber, [p.h, -p.h])
+    x = sphere_point(np.array([3.0, 4.0j]))
+    assert isinstance(x, np.ndarray) and x.dtype == np.complex128
+    assert_allclose(x, [0.6, 0.8j], rtol=0.0, atol=1e-15)
+    for arr in (fiber, x):
+        assert not arr.flags.writeable
 
 
 def test_complex_fiber_guards():
@@ -174,48 +189,70 @@ def test_complex_fiber_guards():
 # --- disjointness ------------------------------------------------------------
 
 
+def _sample_min_distance(p, q, m):
+    """Brute force: the closest pair among m samples of each fiber."""
+    xs, ys = complex_fiber_sample(p, m), complex_fiber_sample(q, m)
+    return np.sqrt(np.maximum(2.0 - 2.0 * (xs @ ys.conj().T).real, 0.0).min())
+
+
+def _sampling_gap(exact, m):
+    """The largest an m-sample minimum can be: some pair of samples is out
+    of phase by at most pi / m, which adds 4 |<h_p, h_q>| sin^2(pi / 2m) to
+    the squared distance."""
+    return math.sqrt(exact * exact + 4.0 * math.sin(0.5 * math.pi / m) ** 2)
+
+
 def test_orthogonal_fibers_distance_sqrt2():
-    for m in (3, 16, 101):
-        d = fibers_min_distance(cpoint(1.0, 0.0), cpoint(0.0, 1.0), m)
-        assert abs(d - np.sqrt(2.0)) < 1e-12
+    d = fibers_min_distance(cpoint(1.0, 0.0), cpoint(0.0, 1.0))
+    assert abs(d - np.sqrt(2.0)) < 1e-15
 
 
 def test_min_distance_monotone_refinement():
     rng = np.random.default_rng(46)
     p, q = rand_distinct_points(rng, 1, "complex")
-    exact = np.sqrt(2.0 - 2.0 * abs(np.vdot(p.h, q.h)))
+    exact = fibers_min_distance(p, q)
     last = np.inf
     for m in (16, 32, 64, 256):
-        d = fibers_min_distance(p, q, m)
-        assert exact - 1e-12 <= d <= last + 1e-12
+        d = _sample_min_distance(p, q, m)
+        assert exact - 1e-12 <= d <= min(last, _sampling_gap(exact, m)) + 1e-12
         last = d
-    assert last > 0.9 * exact
 
 
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("m", [1, 3, 16, 101])
 def test_min_distance_matches_gram_matrix(n, m):
     rng = np.random.default_rng(100 * n + m)
-    thetas = 2.0 * np.pi * np.arange(m) / m
     for _ in range(20):
         p, q = rand_distinct_points(rng, n, "complex")
-        xs = np.exp(1j * thetas)[:, None] * p.h
-        ys = np.exp(1j * thetas)[:, None] * q.h
-        brute = np.sqrt(np.maximum(2.0 - 2.0 * (xs @ ys.conj().T).real, 0.0).min())
-        assert abs(fibers_min_distance(p, q, m) - brute) < 1e-12
+        exact = fibers_min_distance(p, q)
+        assert exact - 1e-12 <= _sample_min_distance(p, q, m) <= _sampling_gap(exact, m) + 1e-12
 
 
 def test_min_distance_large_m_is_linear():
-    # the m x m Gram matrix of samples would take 16 TiB here
+    # an m x m Gram matrix of samples would take 16 TiB here, so the sample
+    # minimum is taken over the m phase differences k: O(m)
     p, q = rand_distinct_points(np.random.default_rng(47), 3, "complex")
-    exact = np.sqrt(2.0 - 2.0 * abs(np.vdot(p.h, q.h)))
-    assert exact - 1e-12 <= fibers_min_distance(p, q, 2 ** 20) < exact + 1e-9
+    exact = fibers_min_distance(p, q)
+    m = 2 ** 20
+    turns = np.exp(2j * np.pi * np.arange(m) / m)
+    brute = math.sqrt(max(0.0, (2.0 - 2.0 * (turns * np.vdot(q.h, p.h)).real).min()))
+    assert exact - 1e-12 <= brute <= _sampling_gap(exact, m) + 1e-12
+    assert brute - exact < 1e-9
+
+
+def test_close_fibers_keep_their_digits():
+    # sqrt(2 - 2 |<h_p, h_q>|) in doubles reads 0 or a multiple of 1e-8 here
+    p = cpoint(1.0, 0.0)
+    for sep in (1e-6, 1e-10, 1e-14):
+        q = cpoint(math.cos(sep), 1j * math.sin(sep))
+        d = fibers_min_distance(p, q, Tolerance(eps_abs=1e-15))
+        assert abs(d - 2.0 * math.sin(0.5 * sep)) <= 2.0 ** -52 * sep
 
 
 def test_min_distance_same_point_rejected():
     p = cpoint(1.0, 2.0j)
     with pytest.raises(SamePoint):
-        fibers_min_distance(p, p, 16)
+        fibers_min_distance(p, p)
 
 
 # --- linking -----------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import projgeo as pg
 from projgeo.errors import IllConditioned, NotSquare, RankDeficientToZero
 from projgeo.numerics import (
     Tolerance,
@@ -147,6 +148,33 @@ def test_require_conditioned_names_estimate_and_cap():
     require_conditioned(np.diag([1.0, 1e-3]), tol)
     with pytest.raises(IllConditioned, match=r"^condition estimate 1\.000e\+04 exceeds cap 1\.000e\+03$"):
         require_conditioned(np.diag([1.0, 1e-4]), tol)
+
+
+# rows orthogonal, norms 1.5 sqrt 2 and sqrt 2 times 1e308: condition 1.5,
+# though the largest singular value passes the largest double
+_HUGE = np.array([[1.5e308, 1.5e308], [-1e308, 1e308]])
+_HUGER = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.7e308]])  # every singular value passes it
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_condition_estimate_of_matrices_past_the_largest_double():
+    assert cond_estimate(_HUGE) == pytest.approx(1.5, rel=1e-14)
+    assert cond_estimate(_HUGER) == pytest.approx(1.0, rel=1e-14)
+    assert cond_estimate(np.diag([1.7e308, 1e-300])) == math.inf
+    with pytest.raises(IllConditioned, match=r"estimate 1\.700e\+18 exceeds"):
+        require_conditioned(np.diag([1.7e308, 1e290]), Tolerance())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_guarded_operations_take_matrices_past_the_largest_double():
+    # scaling by a power of two is exact, so each answer is that of the scaled matrix
+    s = 2.0 ** -1000
+    for a in (_HUGE, _HUGER):
+        assert pg.map_distance(pg.map_from_matrix(a), pg.map_from_matrix(a * s)) < 1e-15
+        sub = pg.subspace_from_span(np.array([[0.6], [0.8]]))  # a G v past the largest double
+        assert pg.subspaces_equal(pg.apply_gl(a, sub), pg.apply_gl(a * s, sub), Tolerance(1e-15))
+        h = pg.quotient_project(np.array([0.6, 0.8]), pg.ScaleGroup(2.0))
+        assert pg.hopf_distance(pg.induced_linear(a, h), pg.induced_linear(a * s, h)) < 1e-15
 
 
 def test_in_span_residual_against_eps():

@@ -198,7 +198,6 @@ def test_maps_equal_cases():
 @pytest.mark.parametrize("n,expected", [(1, 3), (2, 8), (3, 15)])
 def test_group_dimension(n, expected):
     assert group_dimension(n) == expected
-    assert group_dimension(n, "complex") == expected
 
 
 # --- charts ---------------------------------------------------------------

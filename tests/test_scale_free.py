@@ -75,7 +75,7 @@ def test_builders_and_predicates_answer_alike_at_every_scale(k, seed, field, kin
     pairs = [
         (lambda x: pg.point_from_vector(x * v), pg.points_equal),
         (lambda x: pg.map_from_matrix(x * a), pg.maps_equal),
-        (lambda x: pg.sphere_point(x * v), lambda p, q: np.max(np.abs(p.x - q.x)) < 1e-12),
+        (lambda x: pg.sphere_point(x * v), lambda p, q: np.max(np.abs(p - q)) < 1e-12),
         (lambda x: pg.subspace_from_span(x * span),
          lambda p, q: p.k == q.k and pg.subspaces_equal(p, q)),
         (lambda x: pg.proj_subspace_from_span(x * span),

@@ -1,9 +1,10 @@
-"""A ratchet on tolerance parameters that decide nothing.
+"""A ratchet on parameters that decide nothing.
 
-A public function of projgeo that takes ``tol`` must read it or pass it on:
-a knob that changes no answer misleads its caller.  The scan parses every
-module of ``src/projgeo`` and fails on a public function, or a public method
-of a public class, whose ``tol`` parameter its body never names.
+A public function of projgeo must read every parameter it takes, or pass it
+on: a knob that changes no answer misleads its caller, and ``tol`` was the
+usual case.  The scan parses every module of ``src/projgeo`` and fails on a
+public function, or a public method of a public class, with a parameter that
+its body never names.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 import projgeo
 
 
-def _unread_tol(tree: ast.AST, module: str) -> list[str]:
+def _unread_params(tree: ast.AST, module: str) -> list[str]:
     found = []
 
     def visit(node, scope):
@@ -23,19 +24,20 @@ def _unread_tol(tree: ast.AST, module: str) -> list[str]:
                 if child.name.startswith("_"):
                     continue
                 args = child.args
-                params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a is not None]
                 names = {n.id for n in ast.walk(child) if isinstance(n, ast.Name)}
-                if "tol" in params and "tol" not in names:
-                    found.append(".".join((module, *scope, child.name)))
+                name = ".".join((module, *scope, child.name))
+                found.extend(f"{name}({p})" for p in params if p not in names)
 
     visit(tree, ())
     return found
 
 
-def test_every_public_tol_is_read():
+def test_every_public_parameter_is_read():
     found = []
     for path in sorted(Path(projgeo.__file__).parent.glob("*.py")):
-        found += _unread_tol(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        found += _unread_params(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == []
 
 
@@ -47,5 +49,8 @@ def test_the_ratchet_sees_functions_and_methods_and_skips_private_ones():
         "class A:\n    def m(self, *, tol=None):\n        return 1\n"
         "class _B:\n    def m(self, tol=None):\n        return 1\n"
         "def k(x, tol=None):\n    return tol.eps_abs * x\n"
+        "def d(n, field='real', *rest, **opts):\n    return n + len(rest)\n"
     )
-    assert _unread_tol(ast.parse(code), "mod") == ["mod.f", "mod.A.m"]
+    assert _unread_params(ast.parse(code), "mod") == [
+        "mod.f(tol)", "mod.A.m(self)", "mod.A.m(tol)", "mod.d(field)", "mod.d(opts)",
+    ]
